@@ -9,6 +9,61 @@
 
 namespace moche {
 
+namespace {
+
+// Copies `count` validated (finite) values into *sorted and sorts them.
+void SortInto(const double* values, size_t count,
+              std::vector<double>* sorted) {
+  sorted->assign(values, values + count);
+  std::sort(sorted->begin(), sorted->end());
+}
+
+// Validates (reference, alpha) and writes the sorted reference to *sorted:
+// the per-call preparation of the entry points that take a raw reference.
+Status ValidateAndSortReference(const std::vector<double>& reference,
+                                double alpha, std::vector<double>* sorted) {
+  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(reference, "reference set"));
+  MOCHE_RETURN_IF_ERROR(ks::ValidateAlpha(alpha));
+  SortInto(reference.data(), reference.size(), sorted);
+  return Status::OK();
+}
+
+// The KS outcome of sorted R vs sorted T, swept through the workspace's
+// merge buffers.
+KsOutcome DecideSorted(const std::vector<double>& r_sorted,
+                       const std::vector<double>& t_sorted, double alpha,
+                       ks::KsSweepScratch* sweep) {
+  double location = 0.0;
+  const double statistic =
+      ks::StatisticSortedScratch(r_sorted, t_sorted, sweep, &location);
+  KsOutcome out = ks::internal::DecideUnchecked(statistic, r_sorted.size(),
+                                                t_sorted.size(), alpha);
+  out.location = location;
+  return out;
+}
+
+// The shared precondition of the batched evaluators. An empty batch is
+// valid whatever its width; otherwise windows must be non-empty, the data
+// non-null, and every value finite — checked in one flat SIMD pass over
+// count * width doubles, so the lanes stay full instead of paying
+// per-window ramp-up and tail handling count times.
+Status ValidateBatch(const WindowBatch& batch) {
+  if (batch.count == 0) return Status::OK();
+  if (batch.width == 0) {
+    return Status::InvalidArgument("batch windows must be non-empty");
+  }
+  if (batch.data == nullptr) {
+    return Status::InvalidArgument("batch data is null");
+  }
+  if (!simd::ActiveKernels().all_finite(batch.data,
+                                        batch.count * batch.width)) {
+    return Status::InvalidArgument("test window contains a non-finite value");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<MocheReport> Moche::Explain(const std::vector<double>& reference,
                                    const std::vector<double>& test,
                                    double alpha,
@@ -80,13 +135,42 @@ Status Moche::ExplainInto(const std::vector<double>& reference,
                           const PreferenceList& preference,
                           ExplainWorkspace* workspace,
                           MocheReport* report) const {
-  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(reference, "reference set"));
-  MOCHE_RETURN_IF_ERROR(ks::ValidateAlpha(alpha));
-  std::vector<double>& sorted = workspace->reference_sorted_;
-  sorted.assign(reference.begin(), reference.end());
-  std::sort(sorted.begin(), sorted.end());
-  return ExplainSortedInto(sorted, alpha, test, preference, workspace,
-                           report);
+  MOCHE_RETURN_IF_ERROR(ValidateAndSortReference(
+      reference, alpha, &workspace->reference_sorted_));
+  return ExplainSortedInto(workspace->reference_sorted_, alpha, test,
+                           preference, workspace, report);
+}
+
+Status Moche::FindSizeSortedInto(const std::vector<double>& sorted_reference,
+                                 double alpha, const std::vector<double>& test,
+                                 ExplainWorkspace* workspace,
+                                 MocheReport* report) const {
+  ExplainWorkspace& ws = *workspace;
+  // Per-call validation covers only the test window; the reference and
+  // alpha were validated (and R sorted) by the caller, so the per-window
+  // cost carries no redundant O(n) re-scans of the reference.
+  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(test, "test set"));
+  SortInto(test.data(), test.size(), &ws.test_sorted_);
+
+  const KsOutcome original =
+      DecideSorted(sorted_reference, ws.test_sorted_, alpha, &ws.ks_sweep_);
+  if (!original.reject) {
+    return Status::AlreadyPasses(
+        "R and T pass the KS test; there is nothing to explain");
+  }
+  report->original = original;
+
+  CumulativeFrame::BuildFromSortedUncheckedInto(sorted_reference,
+                                                ws.test_sorted_, &ws.frame_);
+  ws.engine_.Reset(ws.frame_, alpha);
+  WallTimer timer;
+  MOCHE_ASSIGN_OR_RETURN(
+      report->size_stats,
+      SizeSearcher(ws.engine_).FindSize(options_.use_lower_bound));
+  report->k = report->size_stats.k;
+  report->k_hat = report->size_stats.k_hat;
+  report->seconds_size_search = timer.Seconds();
+  return Status::OK();
 }
 
 Status Moche::ExplainSortedInto(const std::vector<double>& sorted_reference,
@@ -97,50 +181,16 @@ Status Moche::ExplainSortedInto(const std::vector<double>& sorted_reference,
   ExplainWorkspace& ws = *workspace;
   MOCHE_RETURN_IF_ERROR(
       ValidatePreference(preference, test.size(), &ws.build_.pref_seen));
-  const std::vector<double>& reference = sorted_reference;
-
-  // Per-call validation covers only the test window; the reference and
-  // alpha were validated (and R sorted) by the caller, so the per-window
-  // cost carries no redundant O(n) re-scans of the reference.
-  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(test, "test set"));
-  std::vector<double>& test_sorted = ws.test_sorted_;
-  test_sorted.assign(test.begin(), test.end());
-  std::sort(test_sorted.begin(), test_sorted.end());
-
-  KsOutcome original;
-  original.n = reference.size();
-  original.m = test_sorted.size();
-  original.statistic = ks::StatisticSortedScratch(
-      reference, test_sorted, &ws.ks_sweep_, &original.location);
-  original.threshold =
-      ks::internal::ThresholdUnchecked(alpha, original.n, original.m);
-  original.reject = original.statistic > original.threshold;
-  if (!original.reject) {
-    return Status::AlreadyPasses(
-        "R and T pass the KS test; there is nothing to explain");
-  }
-
-  report->original = original;
-
-  CumulativeFrame::BuildFromSortedUncheckedInto(reference, test_sorted,
-                                                &ws.frame_);
-  ws.engine_.Reset(ws.frame_, alpha);
-  const BoundsEngine& engine = ws.engine_;
+  MOCHE_RETURN_IF_ERROR(
+      FindSizeSortedInto(sorted_reference, alpha, test, workspace, report));
 
   WallTimer timer;
-  const SizeSearcher searcher(engine);
-  MOCHE_ASSIGN_OR_RETURN(report->size_stats,
-                         searcher.FindSize(options_.use_lower_bound));
-  report->k = report->size_stats.k;
-  report->k_hat = report->size_stats.k_hat;
-  report->seconds_size_search = timer.Seconds();
-
-  timer.Restart();
   // Prevalidated variant: the preference permutation check already ran at
   // this function's entry; no need to re-pay it per call.
   MOCHE_RETURN_IF_ERROR(internal::BuildMostComprehensiblePrevalidated(
-      engine, report->k, test, preference, options_.incremental_partial_check,
-      &report->build_stats, &ws.build_, &report->explanation));
+      ws.engine_, report->k, test, preference,
+      options_.incremental_partial_check, &report->build_stats, &ws.build_,
+      &report->explanation));
   report->seconds_construction = timer.Seconds();
 
   // T \ I, built from the index mask directly (copying the reference into a
@@ -157,13 +207,8 @@ Status Moche::ExplainSortedInto(const std::vector<double>& sorted_reference,
     return Status::Internal("explanation removed the whole test set");
   }
   std::sort(remaining.begin(), remaining.end());
-  report->after.n = reference.size();
-  report->after.m = remaining.size();
-  report->after.statistic = ks::StatisticSortedScratch(
-      reference, remaining, &ws.ks_sweep_, &report->after.location);
-  report->after.threshold = ks::internal::ThresholdUnchecked(
-      alpha, report->after.n, report->after.m);
-  report->after.reject = report->after.statistic > report->after.threshold;
+  report->after =
+      DecideSorted(sorted_reference, remaining, alpha, &ws.ks_sweep_);
   if (options_.validate_result && report->after.reject) {
     return Status::Internal(
         "constructed explanation does not reverse the KS test");
@@ -175,52 +220,16 @@ Status Moche::EvaluateBatchPrepared(const PreparedReference& prepared,
                                     const WindowBatch& batch,
                                     ExplainWorkspace* workspace,
                                     std::vector<KsOutcome>* outcomes) const {
-  if (batch.count == 0) {
-    outcomes->clear();
-    return Status::OK();
-  }
-  if (batch.width == 0) {
-    return Status::InvalidArgument("batch windows must be non-empty");
-  }
-  if (batch.data == nullptr) {
-    return Status::InvalidArgument("batch data is null");
-  }
-  // One flat finiteness scan over the whole batch: count * width doubles in
-  // a single kernel call, so the SIMD lanes stay full instead of paying
-  // per-window ramp-up and tail handling count times.
-  if (!simd::ActiveKernels().all_finite(batch.data,
-                                        batch.count * batch.width)) {
-    return Status::InvalidArgument("test window contains a non-finite value");
-  }
-  const std::vector<double>& reference = prepared.sorted_reference_;
-  const double threshold = ks::internal::ThresholdUnchecked(
-      prepared.alpha_, reference.size(), batch.width);
-  outcomes->resize(batch.count);
+  MOCHE_RETURN_IF_ERROR(ValidateBatch(batch));
   ExplainWorkspace& ws = *workspace;
+  outcomes->resize(batch.count);
   for (size_t w = 0; w < batch.count; ++w) {
-    const double* window = batch.data + w * batch.width;
-    std::vector<double>& test_sorted = ws.test_sorted_;
-    test_sorted.assign(window, window + batch.width);
-    std::sort(test_sorted.begin(), test_sorted.end());
-    KsOutcome& out = (*outcomes)[w];
-    out.n = reference.size();
-    out.m = batch.width;
-    out.statistic = ks::StatisticSortedScratch(reference, test_sorted,
-                                               &ws.ks_sweep_, &out.location);
-    out.threshold = threshold;  // same n, m, alpha for every window
-    out.reject = out.statistic > out.threshold;
+    SortInto(batch.data + w * batch.width, batch.width, &ws.test_sorted_);
+    (*outcomes)[w] = DecideSorted(prepared.sorted_reference_,
+                                  ws.test_sorted_, prepared.alpha_,
+                                  &ws.ks_sweep_);
   }
   return Status::OK();
-}
-
-Result<sketch::SketchTriage> Moche::TriageSketched(
-    const sketch::SketchedReference& sketched,
-    const std::vector<double>& test) const {
-  ExplainWorkspace workspace;
-  sketch::SketchTriage triage;
-  MOCHE_RETURN_IF_ERROR(
-      TriageSketchedInto(sketched, test, &workspace, &triage));
-  return triage;
 }
 
 Status Moche::TriageSketchedInto(const sketch::SketchedReference& sketched,
@@ -229,8 +238,7 @@ Status Moche::TriageSketchedInto(const sketch::SketchedReference& sketched,
                                  sketch::SketchTriage* triage) const {
   MOCHE_RETURN_IF_ERROR(ks::ValidateSample(test, "test set"));
   std::vector<double>& test_sorted = workspace->test_sorted_;
-  test_sorted.assign(test.begin(), test.end());
-  std::sort(test_sorted.begin(), test_sorted.end());
+  SortInto(test.data(), test.size(), &test_sorted);
   *triage = sketched.Classify(sketched.StatisticAgainstSorted(test_sorted),
                               test_sorted.size());
   return Status::OK();
@@ -240,109 +248,37 @@ Status Moche::EvaluateBatchSketched(
     const sketch::SketchedReference& sketched, const WindowBatch& batch,
     ExplainWorkspace* workspace,
     std::vector<sketch::SketchTriage>* triages) const {
-  if (batch.count == 0) {
-    triages->clear();
-    return Status::OK();
-  }
-  if (batch.width == 0) {
-    return Status::InvalidArgument("batch windows must be non-empty");
-  }
-  if (batch.data == nullptr) {
-    return Status::InvalidArgument("batch data is null");
-  }
-  // Same flat finiteness scan as EvaluateBatchPrepared: one kernel call
-  // over count * width doubles keeps the SIMD lanes full.
-  if (!simd::ActiveKernels().all_finite(batch.data,
-                                        batch.count * batch.width)) {
-    return Status::InvalidArgument("test window contains a non-finite value");
-  }
+  MOCHE_RETURN_IF_ERROR(ValidateBatch(batch));
+  std::vector<double>& test_sorted = workspace->test_sorted_;
   triages->resize(batch.count);
-  ExplainWorkspace& ws = *workspace;
   for (size_t w = 0; w < batch.count; ++w) {
-    const double* window = batch.data + w * batch.width;
-    std::vector<double>& test_sorted = ws.test_sorted_;
-    test_sorted.assign(window, window + batch.width);
-    std::sort(test_sorted.begin(), test_sorted.end());
-    // Classify recomputes the threshold per window, but from cheap scalar
-    // arithmetic on identical (n, m, alpha) — bit-identical across the
-    // batch, so no behavior depends on hoisting it.
+    SortInto(batch.data + w * batch.width, batch.width, &test_sorted);
     (*triages)[w] = sketched.Classify(
         sketched.StatisticAgainstSorted(test_sorted), batch.width);
   }
   return Status::OK();
 }
 
-Result<MocheReport> Moche::ExplainSketched(
-    const sketch::SketchedReference& sketched,
-    const PreparedReference& exact, const std::vector<double>& test,
-    const PreferenceList& preference, sketch::SketchTriage* triage) const {
-  if (exact.sorted_reference().size() != sketched.count() ||
-      exact.alpha() != sketched.alpha()) {
-    return Status::InvalidArgument(
-        "sketched and exact references disagree on sample size or alpha; "
-        "ExplainSketched needs both built over the same reference");
-  }
-  ExplainWorkspace workspace;
-  sketch::SketchTriage local;
-  MOCHE_RETURN_IF_ERROR(
-      TriageSketchedInto(sketched, test, &workspace, &local));
-  if (triage != nullptr) *triage = local;
-  if (local.verdict == sketch::TriageVerdict::kCertainPass) {
-    return Status::AlreadyPasses(
-        "certified by the sketched reference: R and T pass the KS test");
-  }
-  MocheReport report;
-  MOCHE_RETURN_IF_ERROR(
-      ExplainPreparedInto(exact, test, preference, &workspace, &report));
-  return report;
-}
-
 Result<SizeSearchResult> Moche::FindExplanationSize(
     const std::vector<double>& reference, const std::vector<double>& test,
     double alpha) const {
-  MOCHE_ASSIGN_OR_RETURN(const KsOutcome original,
-                         ks::Run(reference, test, alpha));
-  if (!original.reject) {
-    return Status::AlreadyPasses(
-        "R and T pass the KS test; there is nothing to explain");
-  }
-  MOCHE_ASSIGN_OR_RETURN(const CumulativeFrame frame,
-                         CumulativeFrame::Build(reference, test));
-  const BoundsEngine engine(frame, alpha);
-  return SizeSearcher(engine).FindSize(options_.use_lower_bound);
-}
-
-Result<SizeSearchResult> Moche::FindExplanationSizePrepared(
-    const PreparedReference& prepared, const std::vector<double>& test) const {
   ExplainWorkspace workspace;
-  return FindExplanationSizeInto(prepared, test, &workspace);
+  MOCHE_RETURN_IF_ERROR(ValidateAndSortReference(
+      reference, alpha, &workspace.reference_sorted_));
+  MocheReport report;
+  MOCHE_RETURN_IF_ERROR(FindSizeSortedInto(workspace.reference_sorted_, alpha,
+                                           test, &workspace, &report));
+  return report.size_stats;
 }
 
 Result<SizeSearchResult> Moche::FindExplanationSizeInto(
     const PreparedReference& prepared, const std::vector<double>& test,
     ExplainWorkspace* workspace) const {
-  ExplainWorkspace& ws = *workspace;
-  const std::vector<double>& reference = prepared.sorted_reference_;
-  const double alpha = prepared.alpha_;
-
-  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(test, "test set"));
-  std::vector<double>& test_sorted = ws.test_sorted_;
-  test_sorted.assign(test.begin(), test.end());
-  std::sort(test_sorted.begin(), test_sorted.end());
-
-  const double statistic =
-      ks::StatisticSortedScratch(reference, test_sorted, &ws.ks_sweep_);
-  const double threshold = ks::internal::ThresholdUnchecked(
-      alpha, reference.size(), test_sorted.size());
-  if (!(statistic > threshold)) {
-    return Status::AlreadyPasses(
-        "R and T pass the KS test; there is nothing to explain");
-  }
-
-  CumulativeFrame::BuildFromSortedUncheckedInto(reference, test_sorted,
-                                                &ws.frame_);
-  ws.engine_.Reset(ws.frame_, alpha);
-  return SizeSearcher(ws.engine_).FindSize(options_.use_lower_bound);
+  MocheReport report;
+  MOCHE_RETURN_IF_ERROR(FindSizeSortedInto(prepared.sorted_reference_,
+                                           prepared.alpha_, test, workspace,
+                                           &report));
+  return report.size_stats;
 }
 
 }  // namespace moche

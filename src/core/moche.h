@@ -176,22 +176,17 @@ class Moche {
                      ExplainWorkspace* workspace, MocheReport* report) const;
 
   /// Phase 1 only: the explanation size (and lower bound) without building
-  /// the explanation. Useful when only conciseness is needed.
+  /// the explanation. Useful when only conciseness is needed. One-shot
+  /// wrapper over the same phase-1 core as FindExplanationSizeInto.
   Result<SizeSearchResult> FindExplanationSize(
       const std::vector<double>& reference, const std::vector<double>& test,
       double alpha) const;
 
   /// As FindExplanationSize, but reuses the prepared (already sorted)
-  /// reference — only the test window is sorted and validated per call,
-  /// mirroring the Explain/ExplainPrepared pair. Same results as
-  /// FindExplanationSize on the same inputs.
-  Result<SizeSearchResult> FindExplanationSizePrepared(
-      const PreparedReference& prepared,
-      const std::vector<double>& test) const;
-
-  /// Zero-allocation-once-warm variant of FindExplanationSizePrepared,
-  /// running entirely inside `workspace` (SizeSearchResult itself is a
-  /// plain value and never allocates).
+  /// reference — only the test window is validated and sorted per call —
+  /// and runs entirely inside `workspace`: zero allocation once warm
+  /// (SizeSearchResult itself is a plain value and never allocates). Same
+  /// results as FindExplanationSize on the same inputs.
   Result<SizeSearchResult> FindExplanationSizeInto(
       const PreparedReference& prepared, const std::vector<double>& test,
       ExplainWorkspace* workspace) const;
@@ -219,55 +214,43 @@ class Moche {
   /// the bracket to the KS threshold. kCertainPass / kCertainFail verdicts
   /// are *certified*: the exact ks::Run decision on (R, T) is guaranteed
   /// to agree; kUncertain means only the exact path can decide. Costs
-  /// O(m log m + summary) — independent of the reference size n.
-  Result<sketch::SketchTriage> TriageSketched(
-      const sketch::SketchedReference& sketched,
-      const std::vector<double>& test) const;
-
-  /// Zero-allocation-once-warm variant of TriageSketched: the test window
-  /// is sorted into `workspace` and the verdict written to `*triage`
-  /// (meaningful only when the returned Status is OK). The stream
-  /// monitor's sketched mode runs this per push.
+  /// O(m log m + summary) — independent of the reference size n. The test
+  /// window is sorted into `workspace` (zero allocation once warm) and the
+  /// verdict written to `*triage` (meaningful only when the returned
+  /// Status is OK). The stream monitor's sketched mode runs this per push.
   Status TriageSketchedInto(const sketch::SketchedReference& sketched,
                             const std::vector<double>& test,
                             ExplainWorkspace* workspace,
                             sketch::SketchTriage* triage) const;
 
-  /// Batched triage: as EvaluateBatchPrepared but against the sketch,
-  /// writing (*triages)[w] for window w. One flat SIMD finiteness pass,
-  /// one hoisted threshold, zero allocation once `workspace` and
-  /// `triages` are warm.
+  /// Batched triage: as EvaluateBatchPrepared (same batch validation) but
+  /// against the sketch, writing (*triages)[w] for window w. Zero
+  /// allocation once `workspace` and `triages` are warm.
   Status EvaluateBatchSketched(const sketch::SketchedReference& sketched,
                                const WindowBatch& batch,
                                ExplainWorkspace* workspace,
                                std::vector<sketch::SketchTriage>* triages)
       const;
 
-  /// Sketch-gated explanation: triages first and short-circuits a
-  /// certified pass to AlreadyPasses WITHOUT touching the exact reference
-  /// — the common healthy-window case never pays O(n). Certified fails
-  /// and uncertain verdicts fall through to the exact ExplainPrepared
-  /// path on `exact`, which must be prepared over the same reference
-  /// sample and alpha the sketch summarizes (checked by count and alpha;
-  /// InvalidArgument on mismatch). When `triage` is non-null the verdict
-  /// is copied out either way. Reports on the fallthrough path are
-  /// bit-identical to ExplainPrepared.
-  Result<MocheReport> ExplainSketched(
-      const sketch::SketchedReference& sketched,
-      const PreparedReference& exact, const std::vector<double>& test,
-      const PreferenceList& preference,
-      sketch::SketchTriage* triage = nullptr) const;
-
   const MocheOptions& options() const { return options_; }
 
  private:
-  /// The shared pipeline behind the *Into entry points: `sorted_reference`
+  /// The shared pipeline behind the Explain* entry points: `sorted_reference`
   /// must be validated and sorted, `alpha` validated.
   Status ExplainSortedInto(const std::vector<double>& sorted_reference,
                            double alpha, const std::vector<double>& test,
                            const PreferenceList& preference,
                            ExplainWorkspace* workspace,
                            MocheReport* report) const;
+
+  /// Phase 1, the one copy behind ExplainSortedInto and FindExplanationSize*
+  /// (same preconditions): validate and sort T, decide, build the frame and
+  /// bounds engine, search the size. Fills report->original, size_stats,
+  /// k, k_hat and seconds_size_search.
+  Status FindSizeSortedInto(const std::vector<double>& sorted_reference,
+                            double alpha, const std::vector<double>& test,
+                            ExplainWorkspace* workspace,
+                            MocheReport* report) const;
 
   MocheOptions options_;
 };

@@ -60,7 +60,7 @@ class ExplainWorkspace {
  private:
   friend class Moche;
 
-  std::vector<double> reference_sorted_;  // ExplainInto's sorted R
+  std::vector<double> reference_sorted_;  // sorted R of the raw-R entry points
   std::vector<double> test_sorted_;
   ks::KsSweepScratch ks_sweep_;  // SIMD |F_R - F_T| sweep merge buffers
   CumulativeFrame frame_;

@@ -25,6 +25,16 @@ double ThresholdUnchecked(double alpha, size_t n, size_t m) {
   return CriticalValueUnchecked(alpha) * std::sqrt((dn + dm) / (dn * dm));
 }
 
+KsOutcome DecideUnchecked(double statistic, size_t n, size_t m, double alpha) {
+  KsOutcome out;
+  out.n = n;
+  out.m = m;
+  out.statistic = statistic;
+  out.threshold = ThresholdUnchecked(alpha, n, m);
+  out.reject = out.statistic > out.threshold;
+  return out;
+}
+
 }  // namespace internal
 
 Status ValidateAlpha(double alpha) {
@@ -213,12 +223,11 @@ Result<KsOutcome> RunSorted(const std::vector<double>& r_sorted,
   MOCHE_RETURN_IF_ERROR(ValidateSample(r_sorted, "reference set"));
   MOCHE_RETURN_IF_ERROR(ValidateSample(t_sorted, "test set"));
   MOCHE_RETURN_IF_ERROR(ValidateAlpha(alpha));
-  KsOutcome out;
-  out.n = r_sorted.size();
-  out.m = t_sorted.size();
-  out.statistic = StatisticSorted(r_sorted, t_sorted, &out.location);
-  out.threshold = internal::ThresholdUnchecked(alpha, out.n, out.m);
-  out.reject = out.statistic > out.threshold;
+  double location = 0.0;
+  const double statistic = StatisticSorted(r_sorted, t_sorted, &location);
+  KsOutcome out = internal::DecideUnchecked(statistic, r_sorted.size(),
+                                            t_sorted.size(), alpha);
+  out.location = location;
   return out;
 }
 
@@ -350,13 +359,10 @@ KsOutcome RemovalKs::CurrentOutcome() const {
   const double best = simd::ActiveKernels().ecdf_sweep_counts(
       cum_r_d_.data(), count_t_.data(), removed_.data(), values_.size(), n,
       m_rem, &best_index);
-  out.statistic = best;
+  out = ks::internal::DecideUnchecked(best, n_, m_ - removed_total_, alpha_);
   out.location = best_index == SIZE_MAX
                      ? (values_.empty() ? 0.0 : values_.front())
                      : values_[best_index];
-  out.threshold = ks::internal::ThresholdUnchecked(alpha_, n_,
-                                                   m_ - removed_total_);
-  out.reject = out.statistic > out.threshold;
   return out;
 }
 

@@ -81,6 +81,11 @@ namespace internal {
 double CriticalValueUnchecked(double alpha);
 double ThresholdUnchecked(double alpha, size_t n, size_t m);
 
+/// The one KS decision: threshold from ThresholdUnchecked, reject iff
+/// statistic > threshold. Every KS decision in ks and core goes through
+/// here. The outcome's location is left 0.0 for the caller to set.
+KsOutcome DecideUnchecked(double statistic, size_t n, size_t m, double alpha);
+
 }  // namespace internal
 
 /// D(R,T) for samples that are already sorted ascending.

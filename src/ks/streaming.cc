@@ -370,15 +370,11 @@ Result<KsOutcome> StreamingKs::CurrentOutcome() const {
         StrFormat("window holds %zu of %zu observations", window_count_,
                   window_size_));
   }
-  KsOutcome out;
-  out.n = n_;
-  out.m = window_size_;
-  out.statistic = static_cast<double>(treap_->MaxAbsScore()) /
-                  (static_cast<double>(n_) * static_cast<double>(window_size_));
+  const double statistic =
+      static_cast<double>(treap_->MaxAbsScore()) /
+      (static_cast<double>(n_) * static_cast<double>(window_size_));
   // alpha / sizes were validated by StreamingKs::Create.
-  out.threshold = ks::internal::ThresholdUnchecked(alpha_, n_, window_size_);
-  out.reject = out.statistic > out.threshold;
-  return out;
+  return ks::internal::DecideUnchecked(statistic, n_, window_size_, alpha_);
 }
 
 bool StreamingKs::Drifted() const {

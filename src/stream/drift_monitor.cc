@@ -50,14 +50,16 @@ void DriftMonitor::Stream::WindowContentsInto(
               ring.begin() + static_cast<ptrdiff_t>(ring_head));
 }
 
-void DriftMonitor::Stream::PushRing(double v) {
+Status DriftMonitor::Stream::Push(double v) {
+  if (detector.has_value()) return detector->Push(v);
   if (ring.size() < window) {
     // Filling phase; AddStream reserved full capacity, so no reallocation.
     ring.push_back(v);
-    return;
+  } else {
+    ring[ring_head] = v;
+    ring_head = (ring_head + 1) % window;
   }
-  ring[ring_head] = v;
-  ring_head = (ring_head + 1) % window;
+  return Status::OK();
 }
 
 DriftMonitor::DriftMonitor(const MonitorOptions& options)
@@ -96,6 +98,11 @@ Result<DriftMonitor> DriftMonitor::Create(const MonitorOptions& options) {
 Result<size_t> DriftMonitor::AddStream(std::string name,
                                        const std::vector<double>& reference,
                                        size_t window_size) {
+  // Checked before anything is interned, so a failed call leaves the cache
+  // untouched.
+  if (window_size == 0) {
+    return Status::InvalidArgument("window_size must be >= 1");
+  }
   // Prepare first (validates the sample and interns the sorted reference).
   // Both modes keep the exact interned form: sketched streams fall back to
   // it for uncertain windows and every explanation runs against it.
@@ -106,9 +113,6 @@ Result<size_t> DriftMonitor::AddStream(std::string name,
   stream.name = std::move(name);
   stream.prepared = std::move(prepared);
   if (options_.reference_mode == ReferenceMode::kSketched) {
-    if (window_size == 0) {
-      return Status::InvalidArgument("window_size must be >= 1");
-    }
     sketch::KllOptions kll;
     kll.capacity = options_.sketch_k;
     MOCHE_ASSIGN_OR_RETURN(
@@ -158,7 +162,7 @@ DriftEvent DriftMonitor::Explain(size_t worker, size_t i,
 
 Status DriftMonitor::ExactWindowOutcome(const Stream& s,
                                         WorkerScratch* scratch,
-                                        KsOutcome* outcome) {
+                                        std::optional<KsOutcome>* outcome) {
   WindowBatch batch;
   batch.data = scratch->window.data();
   batch.count = 1;
@@ -169,38 +173,50 @@ Status DriftMonitor::ExactWindowOutcome(const Stream& s,
   return Status::OK();
 }
 
-Status DriftMonitor::DrainStreamSketched(size_t worker, size_t i,
-                                         const std::vector<double>& values,
-                                         std::vector<DriftEvent>* out) {
-  Stream& s = streams_[i];
+Status DriftMonitor::TriageWindow(size_t worker, Stream* s, bool* reject,
+                                  std::optional<KsOutcome>* outcome) {
   WorkerScratch& scratch = ScratchFor(worker);
+  s->WindowContentsInto(&scratch.window);
+  sketch::SketchTriage triage;
+  MOCHE_RETURN_IF_ERROR(engine_.TriageSketchedInto(
+      *s->sketched, scratch.window, &scratch.workspace, &triage));
+  switch (triage.verdict) {
+    case sketch::TriageVerdict::kCertainPass:
+      ++s->triage_certified_pass;
+      *reject = false;
+      break;
+    case sketch::TriageVerdict::kCertainFail:
+      ++s->triage_certified_fail;
+      *reject = true;
+      break;
+    case sketch::TriageVerdict::kUncertain:
+      ++s->triage_fallbacks;
+      MOCHE_RETURN_IF_ERROR(ExactWindowOutcome(*s, &scratch, outcome));
+      *reject = (*outcome)->reject;
+      break;
+  }
+  return Status::OK();
+}
+
+Status DriftMonitor::DrainStream(size_t worker, size_t i,
+                                 const std::vector<double>& values,
+                                 std::vector<DriftEvent>* out) {
+  Stream& s = streams_[i];
   for (double v : values) {
-    s.PushRing(v);
+    MOCHE_RETURN_IF_ERROR(s.Push(v));
     ++s.ticks;
     if (!s.WindowFull()) continue;
-    s.WindowContentsInto(&scratch.window);
-    sketch::SketchTriage triage;
-    MOCHE_RETURN_IF_ERROR(engine_.TriageSketchedInto(
-        *s.sketched, scratch.window, &scratch.workspace, &triage));
+    // The per-mode step: whether the full window rejects, plus its exact
+    // outcome when that is already known.
     bool reject = false;
-    bool have_outcome = false;
-    KsOutcome outcome;
-    switch (triage.verdict) {
-      case sketch::TriageVerdict::kCertainPass:
-        ++s.triage_certified_pass;
-        break;
-      case sketch::TriageVerdict::kCertainFail:
-        ++s.triage_certified_fail;
-        reject = true;
-        // The exact outcome is computed lazily below, only if this push
-        // actually fires an explanation.
-        break;
-      case sketch::TriageVerdict::kUncertain:
-        ++s.triage_fallbacks;
-        MOCHE_RETURN_IF_ERROR(ExactWindowOutcome(s, &scratch, &outcome));
-        have_outcome = true;
-        reject = outcome.reject;
-        break;
+    std::optional<KsOutcome> outcome;
+    if (s.sketched != nullptr) {
+      MOCHE_RETURN_IF_ERROR(TriageWindow(worker, &s, &reject, &outcome));
+    } else {
+      // Validated at construction; the window is full — CurrentOutcome
+      // cannot fail.
+      MOCHE_ASSIGN_OR_RETURN(outcome, s.detector->CurrentOutcome());
+      reject = outcome->reject;
     }
     if (!reject) {
       s.in_excursion = false;
@@ -214,52 +230,18 @@ Status DriftMonitor::DrainStreamSketched(size_t worker, size_t i,
     } else if (options_.rearm == RearmPolicy::kEveryKPushes) {
       fire = s.pushes_since_explained + 1 >= options_.explain_every_k;
     }
-    if (fire) {
-      if (!have_outcome) {
-        MOCHE_RETURN_IF_ERROR(ExactWindowOutcome(s, &scratch, &outcome));
-      }
-      out->push_back(Explain(worker, i, outcome));
-      s.pushes_since_explained = 0;
-    } else {
+    if (!fire) {
       ++s.pushes_since_explained;
-    }
-  }
-  return Status::OK();
-}
-
-Status DriftMonitor::DrainStream(size_t worker, size_t i,
-                                 const std::vector<double>& values,
-                                 std::vector<DriftEvent>* out) {
-  Stream& s = streams_[i];
-  if (s.sketched != nullptr) {
-    return DrainStreamSketched(worker, i, values, out);
-  }
-  for (double v : values) {
-    MOCHE_RETURN_IF_ERROR(s.detector->Push(v));
-    ++s.ticks;
-    if (!s.detector->WindowFull()) continue;
-    // Validated at construction; the window is full — CurrentOutcome
-    // cannot fail.
-    auto outcome = s.detector->CurrentOutcome();
-    if (!outcome.ok()) return outcome.status();
-    if (!outcome->reject) {
-      s.in_excursion = false;
       continue;
     }
-    ++s.drift_ticks;
-    bool fire = false;
-    if (!s.in_excursion) {
-      s.in_excursion = true;
-      fire = true;
-    } else if (options_.rearm == RearmPolicy::kEveryKPushes) {
-      fire = s.pushes_since_explained + 1 >= options_.explain_every_k;
+    if (!outcome.has_value()) {
+      // A certified sketched fail: pay for the exact outcome only now that
+      // the push fires. TriageWindow left the window in the scratch.
+      MOCHE_RETURN_IF_ERROR(
+          ExactWindowOutcome(s, &ScratchFor(worker), &outcome));
     }
-    if (fire) {
-      out->push_back(Explain(worker, i, *outcome));
-      s.pushes_since_explained = 0;
-    } else {
-      ++s.pushes_since_explained;
-    }
+    out->push_back(Explain(worker, i, *outcome));
+    s.pushes_since_explained = 0;
   }
   return Status::OK();
 }
@@ -375,6 +357,11 @@ Status DriftMonitor::RecheckWindows(std::vector<KsOutcome>* outcomes) {
     }
   }
   return Status::OK();
+}
+
+void DriftMonitor::ClearEvents() {
+  MutexLock lock(state_mutex_.get());
+  events_.clear();
 }
 
 Status DriftMonitor::PushTick(const std::vector<double>& values) {

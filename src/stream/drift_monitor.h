@@ -30,6 +30,8 @@
 // disagree within ~1e-9 of the decision boundary (see
 // fuzz/streaming_ks_fuzz.cc), so cross-mode event logs are equal on
 // well-separated data but not bit-contractual.
+// Both modes share one drain loop: only the step that judges a full
+// window differs, and the excursion / re-arm / fire policy is written once.
 //
 // Determinism contract: stream i's events are produced by stream i's task
 // alone and merged in stream order after every batch, so the event log is
@@ -45,8 +47,8 @@
 // exception is carved out for persistence: the mutating entry points take
 // an internal state mutex, and persist::CheckpointMonitor takes the same
 // mutex while it reads, so a checkpoint may run concurrently with the
-// driver thread's PushBatch (it serializes either the pre-batch or the
-// post-batch state, never a torn one).
+// driver thread's PushBatch or ClearEvents (it serializes either the
+// state before the call or the state after it, never a torn one).
 //
 // Ownership: the monitor owns its streams, the event log, the
 // prepared-reference cache, a pool of per-worker ExplainWorkspaces, and
@@ -60,8 +62,9 @@
 // lazily created workspace (created once, reused forever; stats() reports
 // the pool's footprint), the detectors recycle their treap nodes, and the
 // per-batch fan-out buffers are monitor members reused across batches. A
-// warmed-up sequential (num_threads = 1) monitor therefore performs ZERO
-// heap allocations on a PushBatch that fires no drift event — the steady
+// warmed-up sequential (num_threads = 1) monitor in either reference mode
+// therefore performs ZERO heap allocations on a PushBatch that fires no
+// drift event (tests/stream/workspace_alloc_test.cc) — the steady
 // state of a healthy fleet — and a firing batch allocates only the
 // DriftEvent storage that outlives the call in the event log. The
 // parallel path adds a small O(1) per-batch cost for the pool's job
@@ -171,7 +174,8 @@ class DriftMonitor {
     uint64_t drift_ticks = 0;    ///< pushes whose window rejected
     uint64_t explanations = 0;   ///< DriftEvents emitted
     /// Explain workspaces created so far (at most one per worker thread;
-    /// a monitor that never fires an explanation creates none).
+    /// a kExact monitor that never fires an explanation creates none, a
+    /// kSketched one creates its first at the first full-window triage).
     size_t workspaces_created = 0;
     /// Total heap bytes retained by the workspace pool. Workspace buffers
     /// never shrink, so this is also the pool's high-water mark.
@@ -232,7 +236,8 @@ class DriftMonitor {
   const std::vector<DriftEvent>& events() const { return events_; }
   /// Drops accumulated events (long-running monitors drain the log
   /// periodically); Stats::explanations keeps counting across clears.
-  void ClearEvents() { events_.clear(); }
+  /// Takes the state mutex, so it may race a concurrent checkpoint.
+  void ClearEvents();
 
   size_t num_streams() const { return streams_.size(); }
   const std::string& stream_name(size_t i) const { return streams_[i].name; }
@@ -288,8 +293,8 @@ class DriftMonitor {
     /// Copies the current window, oldest observation first, into *out
     /// (allocation-free once out's capacity is warm). Both modes.
     void WindowContentsInto(std::vector<double>* out) const;
-    /// kSketched only: admits one observation into the ring.
-    void PushRing(double v);
+    /// Admits one observation into the window (detector or ring).
+    Status Push(double v);
   };
 
   /// One worker thread's reusable explanation scratch: the MOCHE workspace
@@ -317,16 +322,16 @@ class DriftMonitor {
   /// Feeds `values` to stream i sequentially, appending events to `out`,
   /// explaining through `worker`'s scratch. Returns the first push failure
   /// (impossible after PushBatch's up-front validation short of an
-  /// internal bug). Dispatches per the stream's mode.
+  /// internal bug). The one drain loop of both modes.
   Status DrainStream(size_t worker, size_t i,
                      const std::vector<double>& values,
                      std::vector<DriftEvent>* out);
 
-  /// kSketched drain: ring push, certified triage on the shared summary,
-  /// exact fallback only for uncertain windows and firing events.
-  Status DrainStreamSketched(size_t worker, size_t i,
-                             const std::vector<double>& values,
-                             std::vector<DriftEvent>* out);
+  /// kSketched's judging step: certified triage of stream s's full window,
+  /// with the exact fallback (into *outcome) only for an uncertain verdict.
+  /// Leaves the window in `worker`'s scratch for a lazy exact outcome.
+  Status TriageWindow(size_t worker, Stream* s, bool* reject,
+                      std::optional<KsOutcome>* outcome);
 
   /// Lazily creates (then returns) worker `worker`'s scratch slot.
   WorkerScratch& ScratchFor(size_t worker);
@@ -335,7 +340,7 @@ class DriftMonitor {
   /// against stream `s`'s interned PreparedReference (one-window
   /// EvaluateBatchPrepared; allocation-free once warm).
   Status ExactWindowOutcome(const Stream& s, WorkerScratch* scratch,
-                            KsOutcome* outcome);
+                            std::optional<KsOutcome>* outcome);
 
   /// Runs ExplainPreparedInto on stream i's current window, inside
   /// `worker`'s scratch.

@@ -61,7 +61,7 @@ uint64_t ReferenceFingerprint(const std::vector<double>& values, double alpha);
 ///
 /// GetOrPrepare/GetOrSketch may be called concurrently; the references
 /// they return are immutable and safe to share across threads (see
-/// Moche::ExplainPrepared / TriageSketched).
+/// Moche::ExplainPrepared / TriageSketchedInto).
 class PreparedReferenceCache {
  public:
   struct Options {

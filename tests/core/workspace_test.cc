@@ -1,7 +1,7 @@
 // The workspace entry points (Moche::ExplainPreparedInto / ExplainInto /
-// FindExplanationSize{Prepared,Into}) must produce reports bit-identical
-// to their one-shot counterparts — a recycled workspace and report carry
-// no state from one call into the next.
+// FindExplanationSizeInto) must produce reports bit-identical to their
+// one-shot counterparts — a recycled workspace and report carry no state
+// from one call into the next.
 
 #include <algorithm>
 #include <vector>
@@ -140,6 +140,8 @@ TEST(ExplainWorkspaceTest, ErrorPathsMatchOneShot) {
   EXPECT_EQ(report.explanation.indices, (std::vector<size_t>{2, 1}));
 }
 
+// FindExplanationSizeInto over a prepared reference, with one workspace
+// recycled across windows, matches the one-shot FindExplanationSize.
 TEST(FindExplanationSizePreparedTest, MatchesUnpreparedVariant) {
   Rng rng(555);
   const std::vector<double> reference = NormalSample(&rng, 250, 0.0, 1.0);
@@ -153,23 +155,20 @@ TEST(FindExplanationSizePreparedTest, MatchesUnpreparedVariant) {
     const std::vector<double> test =
         NormalSample(&rng, 80, 0.4 + 0.2 * w, 1.0);
     auto direct = engine.FindExplanationSize(reference, test, 0.05);
-    auto via_prepared = engine.FindExplanationSizePrepared(*prepared, test);
     auto via_workspace =
         engine.FindExplanationSizeInto(*prepared, test, &workspace);
-    ASSERT_EQ(direct.ok(), via_prepared.ok()) << "window " << w;
     ASSERT_EQ(direct.ok(), via_workspace.ok()) << "window " << w;
     if (!direct.ok()) {
-      EXPECT_EQ(direct.status().code(), via_prepared.status().code());
       EXPECT_EQ(direct.status().code(), via_workspace.status().code());
       continue;
     }
     ++sized;
-    EXPECT_EQ(direct->k, via_prepared->k);
-    EXPECT_EQ(direct->k_hat, via_prepared->k_hat);
-    EXPECT_EQ(direct->theorem1_checks, via_prepared->theorem1_checks);
-    EXPECT_EQ(direct->theorem2_checks, via_prepared->theorem2_checks);
     EXPECT_EQ(direct->k, via_workspace->k);
     EXPECT_EQ(direct->k_hat, via_workspace->k_hat);
+    EXPECT_EQ(direct->theorem1_checks, via_workspace->theorem1_checks);
+    EXPECT_EQ(direct->theorem2_checks, via_workspace->theorem2_checks);
+    EXPECT_EQ(direct->probe_refutations, via_workspace->probe_refutations);
+    EXPECT_EQ(direct->full_scans, via_workspace->full_scans);
   }
   EXPECT_GE(sized, 4);
 }
@@ -178,12 +177,23 @@ TEST(FindExplanationSizePreparedTest, AlreadyPassesAndValidation) {
   const Moche engine;
   auto prepared = engine.Prepare({1, 2, 3, 4}, 0.05);
   ASSERT_TRUE(prepared.ok());
-  EXPECT_TRUE(engine.FindExplanationSizePrepared(*prepared, {1, 2, 3, 4})
+  ExplainWorkspace workspace;
+  EXPECT_TRUE(engine.FindExplanationSizeInto(*prepared, {1, 2, 3, 4},
+                                             &workspace)
                   .status()
                   .IsAlreadyPasses());
-  EXPECT_TRUE(engine.FindExplanationSizePrepared(*prepared, {})
+  EXPECT_TRUE(engine.FindExplanationSizeInto(*prepared, {}, &workspace)
                   .status()
                   .IsInvalidArgument());
+  // The one-shot wrapper agrees, and validates the reference and alpha.
+  const auto one_shot = [&](const std::vector<double>& r,
+                            const std::vector<double>& t, double alpha) {
+    return engine.FindExplanationSize(r, t, alpha).status();
+  };
+  EXPECT_TRUE(one_shot({1, 2, 3, 4}, {1, 2, 3, 4}, 0.05).IsAlreadyPasses());
+  EXPECT_TRUE(one_shot({1, 2, 3, 4}, {}, 0.05).IsInvalidArgument());
+  EXPECT_TRUE(one_shot({}, {1, 2}, 0.05).IsInvalidArgument());
+  EXPECT_TRUE(one_shot({1, 2}, {3, 4}, 2.5).IsInvalidArgument());
 }
 
 }  // namespace

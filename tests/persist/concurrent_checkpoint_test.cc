@@ -24,6 +24,36 @@ namespace moche {
 namespace persist {
 namespace {
 
+// Serializes `monitor` in a loop on a second thread while `drive` runs on
+// this one, then once more after it returns, so the captures provably
+// reach the final state. `drive` starts only after the first capture; the
+// wait is relaxed, so it adds no happens-before edge that could hide an
+// unsynchronized access from TSan.
+template <typename Drive>
+std::vector<CheckpointBlobs> CaptureWhile(const stream::DriftMonitor& monitor,
+                                          Drive drive) {
+  std::atomic<bool> done{false};
+  std::atomic<size_t> count{0};
+  std::vector<CheckpointBlobs> captured;
+  std::thread checkpointer([&] {
+    bool final_round = false;
+    while (!final_round) {
+      final_round = done.load(std::memory_order_acquire);
+      auto blobs = MonitorCodec::Serialize(monitor, CheckpointOptions{});
+      count.fetch_add(1, std::memory_order_relaxed);
+      ASSERT_TRUE(blobs.ok()) << blobs.status().ToString();
+      captured.push_back(std::move(*blobs));
+    }
+  });
+  while (count.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  drive();
+  done.store(true, std::memory_order_release);
+  checkpointer.join();
+  return captured;
+}
+
 TEST(ConcurrentCheckpointTest, SerializeRacesPushBatchSafely) {
   const std::vector<ts::DriftScenario> suite = ts::MakeDriftScenarioSuite(
       4, /*seed=*/20210817, /*reference_size=*/60, /*length=*/380);
@@ -43,33 +73,19 @@ TEST(ConcurrentCheckpointTest, SerializeRacesPushBatchSafely) {
     max_tail = std::max(max_tail, s.observations.size());
   }
 
-  std::atomic<bool> done{false};
-  std::vector<CheckpointBlobs> captured;
-  std::thread checkpointer([&] {
-    // Loop while the driver pushes, then one final capture after it stops,
-    // so the capture list provably reaches the final state.
-    bool final_round = false;
-    while (!final_round) {
-      final_round = done.load(std::memory_order_acquire);
-      auto blobs = MonitorCodec::Serialize(monitor, CheckpointOptions{});
-      ASSERT_TRUE(blobs.ok()) << blobs.status().ToString();
-      captured.push_back(std::move(*blobs));
+  const std::vector<CheckpointBlobs> captured = CaptureWhile(monitor, [&] {
+    std::vector<std::vector<double>> batch(suite.size());
+    for (size_t t0 = 0; t0 < max_tail; t0 += kBatchTicks) {
+      for (size_t i = 0; i < suite.size(); ++i) {
+        const std::vector<double>& obs = suite[i].observations;
+        const size_t begin = std::min(obs.size(), t0);
+        const size_t end = std::min(obs.size(), begin + kBatchTicks);
+        batch[i].assign(obs.begin() + static_cast<long>(begin),
+                        obs.begin() + static_cast<long>(end));
+      }
+      ASSERT_TRUE(monitor.PushBatch(batch).ok());
     }
   });
-
-  std::vector<std::vector<double>> batch(suite.size());
-  for (size_t t0 = 0; t0 < max_tail; t0 += kBatchTicks) {
-    for (size_t i = 0; i < suite.size(); ++i) {
-      const std::vector<double>& obs = suite[i].observations;
-      const size_t begin = std::min(obs.size(), t0);
-      const size_t end = std::min(obs.size(), begin + kBatchTicks);
-      batch[i].assign(obs.begin() + static_cast<long>(begin),
-                      obs.begin() + static_cast<long>(end));
-    }
-    ASSERT_TRUE(monitor.PushBatch(batch).ok());
-  }
-  done.store(true, std::memory_order_release);
-  checkpointer.join();
   ASSERT_FALSE(captured.empty());
 
   // Every concurrent capture restores to a batch-boundary state whose
@@ -99,6 +115,44 @@ TEST(ConcurrentCheckpointTest, SerializeRacesPushBatchSafely) {
       MonitorCodec::Deserialize(captured.back(), RestoreOptions{});
   ASSERT_TRUE(last.ok());
   EXPECT_TRUE(stream::SameEventLogs(final_events, last->events()));
+}
+
+// ClearEvents is a mutating entry point like PushBatch: it takes the state
+// mutex, so a checkpoint racing it reads either the full log or the empty
+// one, never a vector mid-clear.
+TEST(ConcurrentCheckpointTest, SerializeRacesClearEventsSafely) {
+  const std::vector<ts::DriftScenario> suite = ts::MakeDriftScenarioSuite(
+      2, /*seed=*/20210817, /*reference_size=*/60, /*length=*/200);
+  stream::MonitorOptions options;
+  options.rearm = stream::RearmPolicy::kEveryKPushes;
+  options.explain_every_k = 1;  // every rejecting push logs an event
+  auto created = stream::DriftMonitor::Create(options);
+  ASSERT_TRUE(created.ok());
+  stream::DriftMonitor monitor = std::move(*created);
+  for (const ts::DriftScenario& scenario : suite) {
+    ASSERT_TRUE(
+        monitor.AddStream(scenario.name, scenario.reference, 40).ok());
+  }
+  std::vector<std::vector<double>> batch(suite.size());
+  for (size_t i = 0; i < suite.size(); ++i) batch[i] = suite[i].observations;
+  ASSERT_TRUE(monitor.PushBatch(batch).ok());
+  const std::vector<stream::DriftEvent> full_log = monitor.events();
+  ASSERT_FALSE(full_log.empty());
+
+  const std::vector<CheckpointBlobs> captured =
+      CaptureWhile(monitor, [&] { monitor.ClearEvents(); });
+  for (size_t c = 0; c < captured.size(); ++c) {
+    auto restored = MonitorCodec::Deserialize(captured[c], RestoreOptions{});
+    ASSERT_TRUE(restored.ok())
+        << "capture " << c << ": " << restored.status().ToString();
+    const std::vector<stream::DriftEvent>& events = restored->events();
+    EXPECT_TRUE(events.empty() || stream::SameEventLogs(full_log, events))
+        << "capture " << c << " holds a torn log of " << events.size()
+        << " events";
+  }
+  auto last = MonitorCodec::Deserialize(captured.back(), RestoreOptions{});
+  ASSERT_TRUE(last.ok());
+  EXPECT_TRUE(last->events().empty());
 }
 
 }  // namespace

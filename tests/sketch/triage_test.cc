@@ -1,5 +1,5 @@
-// Certified-triage properties (src/sketch/sketched_reference.h and the
-// Moche::*Sketched entry points).
+// Certified-triage properties (src/sketch/sketched_reference.h and
+// Moche::TriageSketchedInto / EvaluateBatchSketched).
 //
 // The contract under test: a kCertainPass / kCertainFail verdict is
 // CERTIFIED — the exact ks::Run decision on the same (reference, window)
@@ -39,6 +39,17 @@ SketchedReference MakeSketched(const std::vector<double>& reference,
   return std::move(*sketched);
 }
 
+// One window through Moche::TriageSketchedInto with a fresh workspace.
+SketchTriage Triage(const Moche& engine, const SketchedReference& sketched,
+                    const std::vector<double>& window) {
+  ExplainWorkspace workspace;
+  SketchTriage triage;
+  const Status status =
+      engine.TriageSketchedInto(sketched, window, &workspace, &triage);
+  EXPECT_TRUE(status.ok()) << status.message();
+  return triage;
+}
+
 TEST(SketchTriageTest, CertifiedVerdictsAgreeWithExactKs) {
   Rng rng(101);
   const double alpha = 0.05;
@@ -70,18 +81,17 @@ TEST(SketchTriageTest, CertifiedVerdictsAgreeWithExactKs) {
       window.push_back(rng.Normal(shift, 1.0));
     }
 
-    auto triage = engine.TriageSketched(sketched, window);
-    ASSERT_TRUE(triage.ok()) << triage.status().message();
+    const SketchTriage triage = Triage(engine, sketched, window);
     auto exact = ks::Run(reference, window, alpha);
     ASSERT_TRUE(exact.ok()) << exact.status().message();
 
     // The bracket must contain the true statistic, always.
-    ASSERT_LE(triage->lower, exact->statistic + 1e-12);
-    ASSERT_GE(triage->upper, exact->statistic - 1e-12);
-    ASSERT_EQ(triage->n, n);
-    ASSERT_EQ(triage->m, m);
+    ASSERT_LE(triage.lower, exact->statistic + 1e-12);
+    ASSERT_GE(triage.upper, exact->statistic - 1e-12);
+    ASSERT_EQ(triage.n, n);
+    ASSERT_EQ(triage.m, m);
 
-    switch (triage->verdict) {
+    switch (triage.verdict) {
       case TriageVerdict::kCertainPass:
         ASSERT_FALSE(exact->reject)
             << "certified pass but exact KS rejects (shift " << shift
@@ -140,64 +150,17 @@ TEST(SketchTriageTest, BatchedTriageMatchesPerWindowTriage) {
   for (size_t w = 0; w < count; ++w) {
     const std::vector<double> window(flat.begin() + w * width,
                                      flat.begin() + (w + 1) * width);
-    auto single = engine.TriageSketched(sketched, window);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ(triages[w].verdict, single->verdict);
-    EXPECT_EQ(triages[w].statistic, single->statistic);  // bit-identical
-    EXPECT_EQ(triages[w].lower, single->lower);
-    EXPECT_EQ(triages[w].upper, single->upper);
+    const SketchTriage single = Triage(engine, sketched, window);
+    EXPECT_EQ(triages[w].verdict, single.verdict);
+    EXPECT_EQ(triages[w].statistic, single.statistic);  // bit-identical
+    EXPECT_EQ(triages[w].lower, single.lower);
+    EXPECT_EQ(triages[w].upper, single.upper);
   }
 
   // Batch validation mirrors EvaluateBatchPrepared.
   flat[3] = std::nan("");
   EXPECT_FALSE(
       engine.EvaluateBatchSketched(sketched, batch, &workspace, &triages)
-          .ok());
-}
-
-TEST(SketchTriageTest, ExplainSketchedShortCircuitsCertifiedPasses) {
-  Rng rng(107);
-  const double alpha = 0.05;
-  std::vector<double> reference;
-  for (int i = 0; i < 3000; ++i) reference.push_back(rng.Normal(0.0, 1.0));
-  const Moche engine{MocheOptions{}};
-  const SketchedReference sketched = MakeSketched(reference, alpha, 256);
-  auto prepared = engine.Prepare(reference, alpha);
-  ASSERT_TRUE(prepared.ok());
-
-  // An aligned window: certified pass short-circuits to AlreadyPasses.
-  std::vector<double> healthy;
-  for (int i = 0; i < 120; ++i) healthy.push_back(rng.Normal(0.0, 1.0));
-  PreferenceList pref;
-  IdentityPreferenceInto(healthy.size(), &pref);
-  SketchTriage triage;
-  auto report =
-      engine.ExplainSketched(sketched, *prepared, healthy, pref, &triage);
-  ASSERT_EQ(triage.verdict, TriageVerdict::kCertainPass);
-  EXPECT_TRUE(report.status().IsAlreadyPasses());
-
-  // A far-drifted window falls through to the exact path and the report is
-  // bit-identical to calling ExplainPrepared directly.
-  std::vector<double> drifted;
-  for (int i = 0; i < 120; ++i) drifted.push_back(rng.Normal(4.0, 1.0));
-  IdentityPreferenceInto(drifted.size(), &pref);
-  auto via_sketch =
-      engine.ExplainSketched(sketched, *prepared, drifted, pref, &triage);
-  ASSERT_TRUE(via_sketch.ok()) << via_sketch.status().message();
-  EXPECT_EQ(triage.verdict, TriageVerdict::kCertainFail);
-  auto via_exact = engine.ExplainPrepared(*prepared, drifted, pref);
-  ASSERT_TRUE(via_exact.ok());
-  EXPECT_EQ(via_sketch->k, via_exact->k);
-  EXPECT_EQ(via_sketch->explanation.indices, via_exact->explanation.indices);
-  EXPECT_EQ(via_sketch->original.statistic, via_exact->original.statistic);
-
-  // A sketch/exact pair summarizing different references is rejected.
-  std::vector<double> other = reference;
-  other.push_back(0.0);
-  auto other_prepared = engine.Prepare(other, alpha);
-  ASSERT_TRUE(other_prepared.ok());
-  EXPECT_FALSE(
-      engine.ExplainSketched(sketched, *other_prepared, drifted, pref)
           .ok());
 }
 
@@ -248,14 +211,13 @@ TEST(SketchTriageTest, FinerSketchesNeverLoseCertifications) {
     for (int j = 0; j < 80; ++j) {
       window.push_back(rng.Uniform(shift, 1.0 + shift));
     }
-    auto coarse_triage = engine.TriageSketched(coarse, window);
-    auto fine_triage = engine.TriageSketched(fine, window);
-    ASSERT_TRUE(coarse_triage.ok() && fine_triage.ok());
+    const SketchTriage coarse_triage = Triage(engine, coarse, window);
+    const SketchTriage fine_triage = Triage(engine, fine, window);
     auto exact = ks::Run(reference, window, alpha);
     ASSERT_TRUE(exact.ok());
     // Certified verdicts at ANY capacity agree with the exact decision, so
     // certifications can change only by leaving the uncertain band.
-    for (const SketchTriage* t : {&*coarse_triage, &*fine_triage}) {
+    for (const SketchTriage* t : {&coarse_triage, &fine_triage}) {
       if (t->verdict == TriageVerdict::kCertainPass) {
         ASSERT_FALSE(exact->reject);
       } else if (t->verdict == TriageVerdict::kCertainFail) {

@@ -56,6 +56,22 @@ void Replay(Fixture* f, size_t chunk) {
   }
 }
 
+// The drain-loop tests run under both reference modes. kSketched uses a
+// coarse summary so certified passes, certified fails and exact fallbacks
+// all occur, exercising both the eager and the lazy exact outcome.
+constexpr ReferenceMode kModes[] = {ReferenceMode::kExact,
+                                    ReferenceMode::kSketched};
+
+MonitorOptions WithMode(MonitorOptions options, ReferenceMode mode) {
+  options.reference_mode = mode;
+  options.sketch_k = 64;
+  return options;
+}
+
+const char* ModeName(ReferenceMode mode) {
+  return mode == ReferenceMode::kExact ? "kExact" : "kSketched";
+}
+
 TEST(DriftMonitorTest, CreateValidatesOptions) {
   MonitorOptions bad_alpha;
   bad_alpha.alpha = 0.0;
@@ -70,17 +86,31 @@ TEST(DriftMonitorTest, CreateValidatesOptions) {
 }
 
 TEST(DriftMonitorTest, AddStreamValidatesInputs) {
-  auto monitor = DriftMonitor::Create(MonitorOptions{});
-  ASSERT_TRUE(monitor.ok());
-  EXPECT_FALSE(monitor->AddStream("empty", {}, 10).ok());
-  EXPECT_FALSE(monitor->AddStream("nan", {1.0, NAN}, 10).ok());
-  EXPECT_FALSE(monitor->AddStream("zero-window", {1.0, 2.0}, 0).ok());
-  EXPECT_EQ(monitor->num_streams(), 0u);
+  for (ReferenceMode mode : kModes) {
+    SCOPED_TRACE(ModeName(mode));
+    auto monitor = DriftMonitor::Create(WithMode(MonitorOptions{}, mode));
+    ASSERT_TRUE(monitor.ok());
+    const std::vector<double> interned{1.0, 2.0, 3.0};
+    auto index = monitor->AddStream("ok", interned, 2);
+    ASSERT_TRUE(index.ok());
+    EXPECT_EQ(*index, 0u);
+    const auto before = monitor->cache_stats();
 
-  auto index = monitor->AddStream("ok", {1.0, 2.0, 3.0}, 2);
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ(*index, 0u);
-  EXPECT_EQ(monitor->stream_name(0), "ok");
+    EXPECT_FALSE(monitor->AddStream("empty", {}, 10).ok());
+    EXPECT_FALSE(monitor->AddStream("nan", {1.0, NAN}, 10).ok());
+    // A rejected window must neither count a hit on an interned reference
+    // nor intern (and count a miss for) a new one.
+    EXPECT_FALSE(monitor->AddStream("zero-window", interned, 0).ok());
+    EXPECT_FALSE(monitor->AddStream("zero-window", {4.0, 5.0}, 0).ok());
+    EXPECT_EQ(monitor->num_streams(), 1u);
+    EXPECT_EQ(monitor->stream_name(0), "ok");
+    const auto after = monitor->cache_stats();
+    EXPECT_EQ(after.entries, before.entries);
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.evictions, before.evictions);
+    EXPECT_EQ(after.resident_bytes, before.resident_bytes);
+  }
 }
 
 TEST(DriftMonitorTest, PushBatchValidatesShapeAndValues) {
@@ -131,48 +161,56 @@ TEST(DriftMonitorTest, OncePerExcursionEmitsOneEventForPersistentDrift) {
   // Mean shift never reverts: one excursion, hence exactly one event even
   // though hundreds of pushes reject (alpha = 0.01 keeps the deterministic
   // pre-drift stretch alarm-free).
-  MonitorOptions options;
-  options.alpha = 0.01;
-  Fixture f = MakeFixture(options, 1);
-  Replay(&f, 50);
+  for (ReferenceMode mode : kModes) {
+    SCOPED_TRACE(ModeName(mode));
+    MonitorOptions options;
+    options.alpha = 0.01;
+    Fixture f = MakeFixture(WithMode(options, mode), 1);
+    Replay(&f, 50);
 
-  EXPECT_EQ(f.monitor.events().size(), 1u);
-  const auto stats = f.monitor.stats();
-  EXPECT_GT(stats.drift_ticks, f.monitor.events().size());
-  EXPECT_EQ(stats.explanations, 1u);
-  EXPECT_TRUE(f.monitor.stream_in_excursion(0));
+    EXPECT_EQ(f.monitor.events().size(), 1u);
+    const auto stats = f.monitor.stats();
+    EXPECT_GT(stats.drift_ticks, f.monitor.events().size());
+    EXPECT_EQ(stats.explanations, 1u);
+    EXPECT_TRUE(f.monitor.stream_in_excursion(0));
+  }
 }
 
 TEST(DriftMonitorTest, TransientDriftReArmsAfterRecovery) {
   // The spike reverts; once the window flushes the detector passes again
   // and the stream re-arms.
   const size_t window = 60;
-  MonitorOptions options;
-  Fixture f = MakeFixture(options, 3, window);
-  ASSERT_EQ(f.scenarios[2].kind, ts::DriftKind::kTransientSpike);
-  Replay(&f, 32);
+  for (ReferenceMode mode : kModes) {
+    SCOPED_TRACE(ModeName(mode));
+    Fixture f = MakeFixture(WithMode(MonitorOptions{}, mode), 3, window);
+    ASSERT_EQ(f.scenarios[2].kind, ts::DriftKind::kTransientSpike);
+    Replay(&f, 32);
 
-  bool spike_fired = false;
-  for (const DriftEvent& event : f.monitor.events()) {
-    if (event.stream == 2) spike_fired = true;
+    bool spike_fired = false;
+    for (const DriftEvent& event : f.monitor.events()) {
+      if (event.stream == 2) spike_fired = true;
+    }
+    EXPECT_TRUE(spike_fired);
+    EXPECT_FALSE(f.monitor.stream_in_excursion(2));  // recovered, re-armed
+    EXPECT_TRUE(f.monitor.stream_in_excursion(0));   // mean shift persists
   }
-  EXPECT_TRUE(spike_fired);
-  EXPECT_FALSE(f.monitor.stream_in_excursion(2));  // recovered and re-armed
-  EXPECT_TRUE(f.monitor.stream_in_excursion(0));   // mean shift persists
 }
 
 TEST(DriftMonitorTest, EveryKPushesRefreshesDuringExcursion) {
-  MonitorOptions every_k;
-  every_k.rearm = RearmPolicy::kEveryKPushes;
-  every_k.explain_every_k = 20;
-  Fixture f = MakeFixture(every_k, 1);
-  Replay(&f, 50);
+  for (ReferenceMode mode : kModes) {
+    SCOPED_TRACE(ModeName(mode));
+    MonitorOptions every_k;
+    every_k.rearm = RearmPolicy::kEveryKPushes;
+    every_k.explain_every_k = 20;
+    Fixture f = MakeFixture(WithMode(every_k, mode), 1);
+    Replay(&f, 50);
 
-  const auto& events = f.monitor.events();
-  ASSERT_GT(events.size(), 1u);  // refreshed at least once
-  for (size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i].tick - events[i - 1].tick,
-              every_k.explain_every_k);
+    const auto& events = f.monitor.events();
+    ASSERT_GT(events.size(), 1u);  // refreshed at least once
+    for (size_t i = 1; i < events.size(); ++i) {
+      EXPECT_GE(events[i].tick - events[i - 1].tick,
+                every_k.explain_every_k);
+    }
   }
 }
 

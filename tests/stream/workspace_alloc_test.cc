@@ -99,52 +99,68 @@ TEST(WorkspaceAllocTest, WarmFindExplanationSizeIntoAllocatesNothing) {
 }
 
 TEST(WorkspaceAllocTest, SteadyStatePushBatchAllocatesNothing) {
-  Rng rng(4242);
-  const size_t kStreams = 4;
-  const size_t kWindow = 64;
-  const std::vector<double> reference = NormalSample(&rng, 256, 0.0, 1.0);
+  // Both reference modes share the drain loop; kSketched's coarse summary
+  // (sketch_k = 64 over n = 256) makes some windows uncertain, so the exact
+  // fallback runs in the probed region too.
+  for (stream::ReferenceMode mode :
+       {stream::ReferenceMode::kExact, stream::ReferenceMode::kSketched}) {
+    SCOPED_TRACE(mode == stream::ReferenceMode::kExact ? "kExact"
+                                                       : "kSketched");
+    Rng rng(4242);
+    const size_t kStreams = 4;
+    const size_t kWindow = 64;
+    const std::vector<double> reference = NormalSample(&rng, 256, 0.0, 1.0);
 
-  stream::MonitorOptions options;
-  options.alpha = 0.01;  // quiet: in-distribution windows never reject
-  options.num_threads = 1;
-  auto monitor = stream::DriftMonitor::Create(options);
-  ASSERT_TRUE(monitor.ok());
-  for (size_t i = 0; i < kStreams; ++i) {
-    ASSERT_TRUE(
-        monitor->AddStream("s" + std::to_string(i), reference, kWindow).ok());
-  }
-
-  // In-distribution observation batches, all materialized up front.
-  const size_t kWarmBatches = 24;   // fills every window, then some
-  const size_t kSteadyBatches = 16;
-  const size_t kBatchTicks = 8;
-  std::vector<std::vector<std::vector<double>>> batches;
-  for (size_t b = 0; b < kWarmBatches + kSteadyBatches; ++b) {
-    std::vector<std::vector<double>> batch(kStreams);
-    for (size_t s = 0; s < kStreams; ++s) {
-      batch[s] = NormalSample(&rng, kBatchTicks, 0.0, 1.0);
+    stream::MonitorOptions options;
+    options.alpha = 0.01;  // quiet: in-distribution windows never reject
+    options.num_threads = 1;
+    options.reference_mode = mode;
+    options.sketch_k = 64;
+    auto monitor = stream::DriftMonitor::Create(options);
+    ASSERT_TRUE(monitor.ok());
+    for (size_t i = 0; i < kStreams; ++i) {
+      ASSERT_TRUE(monitor->AddStream("s" + std::to_string(i), reference,
+                                     kWindow)
+                      .ok());
     }
-    batches.push_back(std::move(batch));
-  }
 
-  size_t warm_failures = 0;
-  for (size_t b = 0; b < kWarmBatches; ++b) {
-    warm_failures += !monitor->PushBatch(batches[b]).ok();
-  }
-  ASSERT_EQ(warm_failures, 0u);
-  ASSERT_TRUE(monitor->events().empty())
-      << "config must stay quiet for the steady-state claim to make sense";
+    // In-distribution observation batches, all materialized up front.
+    const size_t kWarmBatches = 24;   // fills every window, then some
+    const size_t kSteadyBatches = 16;
+    const size_t kBatchTicks = 8;
+    std::vector<std::vector<std::vector<double>>> batches;
+    for (size_t b = 0; b < kWarmBatches + kSteadyBatches; ++b) {
+      std::vector<std::vector<double>> batch(kStreams);
+      for (size_t s = 0; s < kStreams; ++s) {
+        batch[s] = NormalSample(&rng, kBatchTicks, 0.0, 1.0);
+      }
+      batches.push_back(std::move(batch));
+    }
 
-  size_t failures = 0;
-  AllocationProbe probe;
-  for (size_t b = kWarmBatches; b < kWarmBatches + kSteadyBatches; ++b) {
-    failures += !monitor->PushBatch(batches[b]).ok();
+    size_t warm_failures = 0;
+    for (size_t b = 0; b < kWarmBatches; ++b) {
+      warm_failures += !monitor->PushBatch(batches[b]).ok();
+    }
+    ASSERT_EQ(warm_failures, 0u);
+    ASSERT_TRUE(monitor->events().empty())
+        << "config must stay quiet for the steady-state claim to make sense";
+
+    const uint64_t fallbacks_before = monitor->stats().triage_fallbacks;
+    size_t failures = 0;
+    AllocationProbe probe;
+    for (size_t b = kWarmBatches; b < kWarmBatches + kSteadyBatches; ++b) {
+      failures += !monitor->PushBatch(batches[b]).ok();
+    }
+    const size_t allocations = probe.Delta();
+    EXPECT_EQ(failures, 0u);
+    EXPECT_EQ(allocations, 0u)
+        << "warmed-up no-event PushBatch must be allocation-free";
+    EXPECT_TRUE(monitor->events().empty());
+    if (mode == stream::ReferenceMode::kSketched) {
+      EXPECT_GT(monitor->stats().triage_fallbacks, fallbacks_before)
+          << "the probed region must exercise the exact fallback";
+    }
   }
-  const size_t allocations = probe.Delta();
-  EXPECT_EQ(failures, 0u);
-  EXPECT_EQ(allocations, 0u)
-      << "warmed-up no-event PushBatch must be allocation-free";
-  EXPECT_TRUE(monitor->events().empty());
 }
 
 TEST(WorkspaceAllocTest, WorkspacePoolStatsReportCreationAndFootprint) {
