@@ -1,17 +1,25 @@
 // Differential oracle: StreamingKs under an eviction-heavy push schedule
-// against a from-scratch ks::Run recompute on a mirrored window.
+// against two from-scratch recomputes on a mirrored window.
 //
-// The incremental detector maintains integer scores s(x) = m*C_R - n*C_W
-// in a treap; the batch path computes max |cum_r/n - cum_t/m| directly.
-// Mathematically identical, computed differently — so the statistic is
-// compared within the tree's tight tolerance (1e-12, as the unit suite
-// does), the threshold bit-exactly (same formula, same operands), the
-// window contents exactly, and the reject decisions may only differ when
-// the batch statistic sits within tolerance of the threshold.
+// The incremental detector maintains the integer scores of
+// s(x) = m*C_R(x) - n*C_W(x) in a window-only treap, with reference ranks
+// read from the shared sorted reference. Its statistic must equal, bit
+// for bit, max |s| over every sample point recomputed by brute force in
+// integers and divided as the detector divides — and a twin detector
+// built by CreateOverSorted over the same sorted reference must agree bit
+// for bit too. Against ks::Run's double-arithmetic ECDF walk (the
+// mathematically identical batch path) the statistic is compared within
+// the tree's tight tolerance (1e-12), the threshold bit-exactly (same
+// formula, same operands), the window contents exactly, and the reject
+// decisions may only differ when the batch statistic sits within tolerance
+// of the threshold.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "fuzz_target.h"
@@ -26,6 +34,27 @@ bool SameBits(double a, double b) {
 }
 
 constexpr double kTightTol = 1e-12;
+
+// max |m*C_R(x) - n*C_W(x)| over every reference and window value x,
+// counted by brute force, over (n*m) as a double — the detector's exact
+// statistic.
+double IntegerOracleStatistic(const std::vector<double>& reference,
+                              const std::deque<double>& window) {
+  const int64_t n = static_cast<int64_t>(reference.size());
+  const int64_t m = static_cast<int64_t>(window.size());
+  int64_t best = 0;
+  const auto score_at = [&](double x) {
+    int64_t c_r = 0;
+    int64_t c_w = 0;
+    for (double r : reference) c_r += r <= x;
+    for (double w : window) c_w += w <= x;
+    best = std::max(best, std::abs(m * c_r - n * c_w));
+  };
+  for (double x : reference) score_at(x);
+  for (double x : window) score_at(x);
+  return static_cast<double>(best) /
+         (static_cast<double>(n) * static_cast<double>(m));
+}
 
 }  // namespace
 
@@ -47,6 +76,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   auto stream = moche::StreamingKs::Create(reference, window, alpha);
   MOCHE_FUZZ_CHECK(stream.ok(), "Create rejected a valid config: %s",
                    stream.status().message().c_str());
+  auto sorted = std::make_shared<std::vector<double>>(reference);
+  // moche-lint: allow(sort-doubles): Create above validated the sample finite
+  std::sort(sorted->begin(), sorted->end());
+  auto twin = moche::StreamingKs::CreateOverSorted(sorted, window, alpha);
+  MOCHE_FUZZ_CHECK(twin.ok(), "CreateOverSorted rejected a valid config: %s",
+                   twin.status().message().c_str());
 
   std::deque<double> mirror;
   const size_t pushes = in.SizeInRange(0, 160);
@@ -67,6 +102,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                          ? static_cast<double>(in.IntInRange(0, alphabet))
                          : in.FiniteValue();
     MOCHE_FUZZ_CHECK(stream->Push(v).ok(), "Push rejected a finite value");
+    MOCHE_FUZZ_CHECK(twin->Push(v).ok(), "twin Push rejected a finite value");
     mirror.push_back(v);
     if (mirror.size() > window) mirror.pop_front();
 
@@ -88,6 +124,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     MOCHE_FUZZ_CHECK(batch.ok(), "batch recompute failed: %s",
                      batch.status().message().c_str());
 
+    const double exact = IntegerOracleStatistic(reference, mirror);
+    MOCHE_FUZZ_CHECK(SameBits(incremental->statistic, exact),
+                     "step %zu: incremental D %.17g vs integer oracle %.17g",
+                     step, incremental->statistic, exact);
+    auto twin_outcome = twin->CurrentOutcome();
+    MOCHE_FUZZ_CHECK(twin_outcome.ok() &&
+                         SameBits(twin_outcome->statistic, exact),
+                     "step %zu: CreateOverSorted twin diverged", step);
     MOCHE_FUZZ_CHECK(
         std::fabs(incremental->statistic - batch->statistic) <= kTightTol,
         "step %zu: incremental D %.17g vs batch D %.17g", step,

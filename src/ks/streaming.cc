@@ -2,31 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <random>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace moche {
 
-namespace {
-constexpr int64_t kNegInf = std::numeric_limits<int64_t>::min() / 4;
-constexpr int64_t kPosInf = std::numeric_limits<int64_t>::max() / 4;
-}  // namespace
-
-// One observation. All nodes with equal key carry equal scores s, so the
-// order among duplicates is immaterial.
+// One distinct window value and its multiplicity. le/lt are the two score
+// candidates of the file header, stored before the pending `lazy` tags of
+// this node and its ancestors are applied.
 struct StreamingKs::Node {
   double key = 0.0;
-  bool is_ref = false;
   uint64_t pri = 0;
-  int64_t s = 0;      // m * C_R(key) - n * C_W(key)
-  int64_t lazy = 0;   // pending addition to s of the whole subtree
-  int64_t smax = 0;   // subtree max of s (after lazy)
+  int64_t le = 0;     // m * rank_<=(key) - n * C_W(<= key)
+  int64_t lt = 0;     // m * rank_<(key) - n * C_W(< key)
+  int64_t lazy = 0;   // pending addition to both scores of the subtree
+  int64_t smax = 0;   // subtree max over le and lt (before lazy)
   int64_t smin = 0;
-  int64_t cnt_r = 0;  // subtree count of reference nodes
-  int64_t cnt_t = 0;  // subtree count of test (window) nodes
+  int64_t count = 0;  // window copies of key
+  int64_t size = 0;   // subtree window count
   Node* l = nullptr;
   Node* r = nullptr;
 };
@@ -42,40 +37,46 @@ class StreamingKs::Treap {
     }
   }
 
-  int64_t CountRefLE(double key) const { return CountLE(key).first; }
-  int64_t CountTestLE(double key) const { return CountLE(key).second; }
-
-  // Inserts a node with score `s`, shifting the scores of every node with
-  // key >= `key` by `suffix_delta` first.
-  void Insert(double key, bool is_ref, int64_t suffix_delta,
-              int64_t self_score) {
+  // Adds one copy of `key`. `rank_lt`/`rank_le` are the reference ranks of
+  // key; n and m the sample sizes.
+  void Insert(double key, int64_t rank_lt, int64_t rank_le, int64_t n,
+              int64_t m) {
     Node* less = nullptr;
-    Node* geq = nullptr;
-    SplitLT(root_, key, &less, &geq);
-    AddLazy(geq, suffix_delta);
-    Node* node = Acquire();
-    node->key = key;
-    node->is_ref = is_ref;
-    node->pri = rng_();
-    node->s = self_score;
-    Pull(node);
-    root_ = Merge(Merge(less, node), geq);
-  }
-
-  // Removes one test-tagged node with the given key (which must exist) and
-  // shifts the scores of the remaining nodes with key >= `key` by
-  // `suffix_delta`.
-  void EraseTest(double key, int64_t suffix_delta) {
-    Node* less = nullptr;
-    Node* rest = nullptr;
     Node* equal = nullptr;
     Node* greater = nullptr;
-    SplitLT(root_, key, &less, &rest);
-    SplitLE(rest, key, &equal, &greater);
-    MOCHE_CHECK(equal != nullptr && equal->cnt_t > 0);
-    equal = RemoveOneTest(equal, this);
-    AddLazy(equal, suffix_delta);
-    AddLazy(greater, suffix_delta);
+    Split3(key, &less, &equal, &greater);
+    AddLazy(greater, -n);
+    if (equal == nullptr) {
+      const int64_t below = Size(less);  // C_W(< key)
+      equal = Acquire();
+      equal->key = key;
+      equal->pri = NextPriority();
+      equal->lt = m * rank_lt - n * below;
+      equal->le = m * rank_le - n * (below + 1);
+      equal->count = 1;
+    } else {
+      ++equal->count;
+      equal->le -= n;
+    }
+    Pull(equal);
+    root_ = Merge(Merge(less, equal), greater);
+  }
+
+  // Removes one copy of `key`, which must be in the window.
+  void Erase(double key, int64_t n) {
+    Node* less = nullptr;
+    Node* equal = nullptr;
+    Node* greater = nullptr;
+    Split3(key, &less, &equal, &greater);
+    MOCHE_CHECK(equal != nullptr);
+    AddLazy(greater, n);
+    if (--equal->count == 0) {
+      Recycle(equal);
+      equal = nullptr;
+    } else {
+      equal->le += n;
+      Pull(equal);
+    }
     root_ = Merge(Merge(less, equal), greater);
   }
 
@@ -87,6 +88,7 @@ class StreamingKs::Treap {
  private:
   static int64_t ScoreMax(const Node* n) { return n->smax + n->lazy; }
   static int64_t ScoreMin(const Node* n) { return n->smin + n->lazy; }
+  static int64_t Size(const Node* n) { return n == nullptr ? 0 : n->size; }
 
   static void AddLazy(Node* n, int64_t delta) {
     if (n != nullptr) n->lazy += delta;
@@ -94,7 +96,8 @@ class StreamingKs::Treap {
 
   static void PushDown(Node* n) {
     if (n->lazy != 0) {
-      n->s += n->lazy;
+      n->le += n->lazy;
+      n->lt += n->lazy;
       n->smax += n->lazy;
       n->smin += n->lazy;
       AddLazy(n->l, n->lazy);
@@ -104,60 +107,44 @@ class StreamingKs::Treap {
   }
 
   static void Pull(Node* n) {
-    n->cnt_r = (n->is_ref ? 1 : 0);
-    n->cnt_t = (n->is_ref ? 0 : 1);
-    n->smax = n->s;
-    n->smin = n->s;
-    if (n->l != nullptr) {
-      n->cnt_r += n->l->cnt_r;
-      n->cnt_t += n->l->cnt_t;
-      n->smax = std::max(n->smax, ScoreMax(n->l));
-      n->smin = std::min(n->smin, ScoreMin(n->l));
-    }
-    if (n->r != nullptr) {
-      n->cnt_r += n->r->cnt_r;
-      n->cnt_t += n->r->cnt_t;
-      n->smax = std::max(n->smax, ScoreMax(n->r));
-      n->smin = std::min(n->smin, ScoreMin(n->r));
+    n->size = n->count;
+    n->smax = std::max(n->le, n->lt);
+    n->smin = std::min(n->le, n->lt);
+    for (const Node* child : {n->l, n->r}) {
+      if (child == nullptr) continue;
+      n->size += child->size;
+      n->smax = std::max(n->smax, ScoreMax(child));
+      n->smin = std::min(n->smin, ScoreMin(child));
     }
   }
 
-  // (keys < key, keys >= key)
-  static void SplitLT(Node* n, double key, Node** less, Node** geq) {
+  // (keys < key, keys >= key) when `strict`, else (keys <= key, keys > key).
+  static void Split(Node* n, double key, bool strict, Node** left,
+                    Node** right) {
     if (n == nullptr) {
-      *less = nullptr;
-      *geq = nullptr;
+      *left = nullptr;
+      *right = nullptr;
       return;
     }
     PushDown(n);
-    if (n->key < key) {
-      SplitLT(n->r, key, &n->r, geq);
+    if (strict ? n->key < key : n->key <= key) {
+      Split(n->r, key, strict, &n->r, right);
       Pull(n);
-      *less = n;
+      *left = n;
     } else {
-      SplitLT(n->l, key, less, &n->l);
+      Split(n->l, key, strict, left, &n->l);
       Pull(n);
-      *geq = n;
+      *right = n;
     }
   }
 
-  // (keys <= key, keys > key)
-  static void SplitLE(Node* n, double key, Node** leq, Node** greater) {
-    if (n == nullptr) {
-      *leq = nullptr;
-      *greater = nullptr;
-      return;
-    }
-    PushDown(n);
-    if (n->key <= key) {
-      SplitLE(n->r, key, &n->r, greater);
-      Pull(n);
-      *leq = n;
-    } else {
-      SplitLE(n->l, key, leq, &n->l);
-      Pull(n);
-      *greater = n;
-    }
+  // Splits the whole tree around `key`; `equal` is its node or null. Every
+  // returned root has been pushed down (lazy 0).
+  void Split3(double key, Node** less, Node** equal, Node** greater) {
+    Node* rest = nullptr;
+    Split(root_, key, /*strict=*/true, less, &rest);
+    Split(rest, key, /*strict=*/false, equal, greater);
+    root_ = nullptr;
   }
 
   static Node* Merge(Node* a, Node* b) {
@@ -173,6 +160,15 @@ class StreamingKs::Treap {
     b->l = Merge(a, b->l);
     Pull(b);
     return b;
+  }
+
+  // Priorities only shape the tree, never a score: a SplitMix64 sequence
+  // keeps them deterministic per detector at 8 bytes of state.
+  uint64_t NextPriority() {
+    uint64_t z = (pri_state_ += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
   }
 
   // One node, recycled from the free list when possible: the steady state
@@ -191,42 +187,6 @@ class StreamingKs::Treap {
     free_list_ = n;
   }
 
-  // Deletes one test-tagged node from the (all-equal-key) subtree.
-  static Node* RemoveOneTest(Node* n, Treap* treap) {
-    MOCHE_CHECK(n != nullptr);
-    PushDown(n);
-    if (!n->is_ref) {
-      Node* merged = Merge(n->l, n->r);
-      treap->Recycle(n);
-      return merged;
-    }
-    if (n->l != nullptr && n->l->cnt_t > 0) {
-      n->l = RemoveOneTest(n->l, treap);
-    } else {
-      MOCHE_CHECK(n->r != nullptr && n->r->cnt_t > 0);
-      n->r = RemoveOneTest(n->r, treap);
-    }
-    Pull(n);
-    return n;
-  }
-
-  // (#ref <= key, #test <= key) by treap descent.
-  std::pair<int64_t, int64_t> CountLE(double key) const {
-    int64_t ref = 0;
-    int64_t test = 0;
-    const Node* n = root_;
-    while (n != nullptr) {
-      if (n->key <= key) {
-        ref += (n->is_ref ? 1 : 0) + (n->l != nullptr ? n->l->cnt_r : 0);
-        test += (n->is_ref ? 0 : 1) + (n->l != nullptr ? n->l->cnt_t : 0);
-        n = n->r;
-      } else {
-        n = n->l;
-      }
-    }
-    return {ref, test};
-  }
-
   static void Free(Node* n) {
     if (n == nullptr) return;
     Free(n->l);
@@ -236,81 +196,98 @@ class StreamingKs::Treap {
 
   Node* root_ = nullptr;
   Node* free_list_ = nullptr;  // chained through Node::l
-  std::mt19937_64 rng_{0x5EED5EED5EED5EEDull};
+  uint64_t pri_state_ = 0x5EED5EED5EED5EEDull;
 };
 
-StreamingKs::StreamingKs(size_t n, size_t window_size, double alpha)
-    : n_(n),
+StreamingKs::StreamingKs(
+    std::shared_ptr<const std::vector<double>> sorted_reference,
+    size_t window_size, double alpha)
+    : reference_(std::move(sorted_reference)),
       window_size_(window_size),
       alpha_(alpha),
-      window_(window_size, 0.0),  // ring storage, allocated once
       treap_(std::make_unique<Treap>()) {}
 
 StreamingKs::StreamingKs(StreamingKs&&) noexcept = default;
 StreamingKs& StreamingKs::operator=(StreamingKs&&) noexcept = default;
 StreamingKs::~StreamingKs() = default;
 
-Result<StreamingKs> StreamingKs::Create(const std::vector<double>& reference,
-                                        size_t window_size, double alpha) {
-  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(reference, "reference set"));
+Status StreamingKs::ValidateShared(
+    const std::shared_ptr<const std::vector<double>>& sorted_reference,
+    uint64_t window_size, double alpha) {
+  if (sorted_reference == nullptr || sorted_reference->empty()) {
+    return Status::InvalidArgument("reference set is empty");
+  }
+  if (!std::isfinite(sorted_reference->front()) ||
+      !std::isfinite(sorted_reference->back())) {
+    return Status::InvalidArgument("reference set is not finite");
+  }
+  MOCHE_DCHECK(std::is_sorted(sorted_reference->begin(),
+                              sorted_reference->end()));
   if (window_size == 0) {
     return Status::InvalidArgument("window size must be positive");
   }
   MOCHE_RETURN_IF_ERROR(ks::ValidateAlpha(alpha));
-  StreamingKs stream(reference.size(), window_size, alpha);
-  const int64_t m = static_cast<int64_t>(window_size);
-  for (double v : reference) {
-    // Reference insertion bumps C_R on the suffix: s += m for key >= v.
-    // The new node's own score: s = m * C_R(v) - n * C_W(v), with counts
-    // taken after the insertion.
-    const int64_t c_r = stream.treap_->CountRefLE(v) + 1;
-    const int64_t c_w = stream.treap_->CountTestLE(v);
-    stream.treap_->Insert(v, /*is_ref=*/true, /*suffix_delta=*/m,
-                          m * c_r - static_cast<int64_t>(stream.n_) * c_w);
+  const uint64_t n = sorted_reference->size();
+  if (n > kMaxScoreProduct / window_size) {
+    return Status::InvalidArgument(StrFormat(
+        "reference size %llu times window size %llu exceeds the 2^60 score "
+        "bound",
+        static_cast<unsigned long long>(n),
+        static_cast<unsigned long long>(window_size)));
   }
+  return Status::OK();
+}
+
+Result<StreamingKs> StreamingKs::Create(const std::vector<double>& reference,
+                                        size_t window_size, double alpha) {
+  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(reference, "reference set"));
+  auto sorted = std::make_shared<std::vector<double>>(reference);
+  // moche-lint: allow(sort-doubles): ValidateSample rejected non-finite values
+  std::sort(sorted->begin(), sorted->end());
+  return CreateOverSorted(std::move(sorted), window_size, alpha);
+}
+
+Result<StreamingKs> StreamingKs::CreateOverSorted(
+    std::shared_ptr<const std::vector<double>> sorted_reference,
+    size_t window_size, double alpha) {
+  MOCHE_RETURN_IF_ERROR(ValidateShared(sorted_reference, window_size, alpha));
+  StreamingKs stream(std::move(sorted_reference), window_size, alpha);
+  stream.window_.reserve(window_size);  // the ring, allocated once
   return stream;
-}
-
-void StreamingKs::InsertTestValue(double value) {
-  const int64_t n = static_cast<int64_t>(n_);
-  const int64_t m = static_cast<int64_t>(window_size_);
-  const int64_t c_r = treap_->CountRefLE(value);
-  const int64_t c_w = treap_->CountTestLE(value) + 1;
-  treap_->Insert(value, /*is_ref=*/false, /*suffix_delta=*/-n,
-                 m * c_r - n * c_w);
-}
-
-void StreamingKs::EraseTestValue(double value) {
-  treap_->EraseTest(value, /*suffix_delta=*/static_cast<int64_t>(n_));
 }
 
 Status StreamingKs::Push(double value) {
   if (!std::isfinite(value)) {
     return Status::InvalidArgument("observation is not finite");
   }
-  if (window_count_ == window_size_) {
-    EraseTestValue(window_[window_head_]);
+  const int64_t n = static_cast<int64_t>(reference_->size());
+  if (WindowFull()) {
+    treap_->Erase(window_[window_head_], n);
+    window_[window_head_] = value;
     window_head_ = (window_head_ + 1) % window_size_;
-    --window_count_;
+  } else {
+    window_.push_back(value);
   }
-  InsertTestValue(value);
-  window_[(window_head_ + window_count_) % window_size_] = value;
-  ++window_count_;
+  const auto [lo, hi] =
+      std::equal_range(reference_->begin(), reference_->end(), value);
+  treap_->Insert(value, lo - reference_->begin(), hi - reference_->begin(), n,
+                 static_cast<int64_t>(window_size_));
   return Status::OK();
 }
 
 void StreamingKs::SerializeStateTo(std::string* out) const {
-  bin::AppendU64Le(static_cast<uint64_t>(n_), out);
+  bin::AppendU64Le(static_cast<uint64_t>(reference_->size()), out);
   bin::AppendU64Le(static_cast<uint64_t>(window_size_), out);
   bin::AppendDoubleLe(alpha_, out);
-  bin::AppendU64Le(static_cast<uint64_t>(window_count_), out);
-  for (size_t i = 0; i < window_count_; ++i) {
-    bin::AppendDoubleLe(window_[(window_head_ + i) % window_size_], out);
+  bin::AppendU64Le(static_cast<uint64_t>(window_.size()), out);
+  for (size_t i = 0; i < window_.size(); ++i) {
+    bin::AppendDoubleLe(window_[(window_head_ + i) % window_.size()], out);
   }
 }
 
 Result<StreamingKs> StreamingKs::DeserializeState(
-    const std::vector<double>& reference, bin::Reader* reader) {
+    std::shared_ptr<const std::vector<double>> sorted_reference,
+    bin::Reader* reader) {
   uint64_t n = 0;
   uint64_t window_size = 0;
   double alpha = 0.0;
@@ -320,11 +297,13 @@ Result<StreamingKs> StreamingKs::DeserializeState(
     return Status::InvalidArgument(
         "streaming detector: snapshot truncated in the state header");
   }
-  if (n != reference.size()) {
+  const size_t reference_size =
+      sorted_reference == nullptr ? 0 : sorted_reference->size();
+  if (n != reference_size) {
     return Status::InvalidArgument(
         StrFormat("streaming detector: snapshot was taken over a reference "
                   "of %llu values, restore got %zu",
-                  static_cast<unsigned long long>(n), reference.size()));
+                  static_cast<unsigned long long>(n), reference_size));
   }
   if (window_count > window_size) {
     return Status::InvalidArgument(StrFormat(
@@ -336,12 +315,14 @@ Result<StreamingKs> StreamingKs::DeserializeState(
     return Status::InvalidArgument(
         "streaming detector: snapshot truncated inside the window ring");
   }
-  // Create re-validates the reference sample, window size, and alpha, then
-  // replaying the ring in arrival order rebuilds the treap (scores are a
-  // pure function of the multisets; priorities only shape the tree).
-  MOCHE_ASSIGN_OR_RETURN(
-      StreamingKs stream,
-      Create(reference, static_cast<size_t>(window_size), alpha));
+  // Re-validates the reference, window size (incl. the score bound) and
+  // alpha; then replaying the ring in arrival order rebuilds the treap
+  // (scores are a pure function of the multisets; priorities only shape
+  // the tree). The ring is sized to what the snapshot holds.
+  MOCHE_RETURN_IF_ERROR(ValidateShared(sorted_reference, window_size, alpha));
+  StreamingKs stream(std::move(sorted_reference),
+                     static_cast<size_t>(window_size), alpha);
+  stream.window_.reserve(static_cast<size_t>(window_count));
   for (uint64_t i = 0; i < window_count; ++i) {
     double value = 0.0;
     reader->ReadDoubleLe(&value);  // bounded above; cannot fail
@@ -358,23 +339,24 @@ std::vector<double> StreamingKs::WindowContents() const {
 
 void StreamingKs::WindowContentsInto(std::vector<double>* out) const {
   out->clear();
-  out->reserve(window_count_);
-  for (size_t i = 0; i < window_count_; ++i) {
-    out->push_back(window_[(window_head_ + i) % window_size_]);
+  out->reserve(window_.size());
+  for (size_t i = 0; i < window_.size(); ++i) {
+    out->push_back(window_[(window_head_ + i) % window_.size()]);
   }
 }
 
 Result<KsOutcome> StreamingKs::CurrentOutcome() const {
   if (!WindowFull()) {
     return Status::InvalidArgument(
-        StrFormat("window holds %zu of %zu observations", window_count_,
+        StrFormat("window holds %zu of %zu observations", window_.size(),
                   window_size_));
   }
+  const size_t n = reference_->size();
   const double statistic =
       static_cast<double>(treap_->MaxAbsScore()) /
-      (static_cast<double>(n_) * static_cast<double>(window_size_));
-  // alpha / sizes were validated by StreamingKs::Create.
-  return ks::internal::DecideUnchecked(statistic, n_, window_size_, alpha_);
+      (static_cast<double>(n) * static_cast<double>(window_size_));
+  // alpha / sizes were validated by ValidateShared.
+  return ks::internal::DecideUnchecked(statistic, n, window_size_, alpha_);
 }
 
 bool StreamingKs::Drifted() const {

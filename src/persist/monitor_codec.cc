@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <memory>
@@ -457,10 +458,31 @@ Status ParseShard(const std::string& bytes, uint32_t shard_index,
         }
         restored->sketched = ref.sketched;
       } else {
+        // Bind to the interned sorted sample, as AddStream does: restore
+        // replays only the window ring, never copies the reference.
+        std::shared_ptr<const std::vector<double>> sorted(
+            ref.prepared, &ref.prepared->sorted_reference());
         MOCHE_ASSIGN_OR_RETURN(
             StreamingKs detector,
-            StreamingKs::DeserializeState(ref.original, &r));
+            StreamingKs::DeserializeState(std::move(sorted), &r));
         restored->detector.emplace(std::move(detector));
+      }
+      // A stream's window holds its latest min(ticks, capacity)
+      // observations; anything else is a corrupted capacity or count.
+      const uint64_t capacity = restored->detector.has_value()
+                                    ? restored->detector->window_size()
+                                    : restored->window;
+      const uint64_t held = restored->detector.has_value()
+                                ? restored->detector->window_count()
+                                : restored->ring.size();
+      if (held != std::min(ticks, capacity)) {
+        return Status::InvalidArgument(StrFormat(
+            "%s: stream %llu window holds %llu observations after %llu ticks "
+            "at capacity %llu",
+            what.c_str(), static_cast<unsigned long long>(index),
+            static_cast<unsigned long long>(held),
+            static_cast<unsigned long long>(ticks),
+            static_cast<unsigned long long>(capacity)));
       }
       (*stream_slots)[static_cast<size_t>(index)] = std::move(restored);
     }
@@ -724,11 +746,10 @@ Result<DriftMonitor> MonitorCodec::Deserialize(const CheckpointBlobs& blobs,
     st.sketched = std::move(slot->sketched);
     st.window = static_cast<size_t>(slot->window);
     if (st.window != 0) {
-      // Rebuild the ring at head 0 (oldest first). reserve() restores the
-      // full-capacity invariant AddStream establishes, so a not-yet-full
-      // ring keeps filling without reallocating.
+      // Rebuild the ring at head 0 (oldest first), holding only what the
+      // snapshot holds: a not-yet-full ring grows as it fills, so a
+      // corrupted capacity can never drive the allocation.
       st.ring = std::move(slot->ring);
-      st.ring.reserve(st.window);
       st.ring_head = 0;
     }
     st.ticks = slot->ticks;

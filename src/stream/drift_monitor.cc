@@ -53,7 +53,8 @@ void DriftMonitor::Stream::WindowContentsInto(
 Status DriftMonitor::Stream::Push(double v) {
   if (detector.has_value()) return detector->Push(v);
   if (ring.size() < window) {
-    // Filling phase; AddStream reserved full capacity, so no reallocation.
+    // Filling phase. AddStream reserved full capacity, so a live ring never
+    // reallocates; a restored one grows from what its snapshot held.
     ring.push_back(v);
   } else {
     ring[ring_head] = v;
@@ -103,6 +104,12 @@ Result<size_t> DriftMonitor::AddStream(std::string name,
   if (window_size == 0) {
     return Status::InvalidArgument("window_size must be >= 1");
   }
+  if (reference.size() > StreamingKs::kMaxScoreProduct / window_size) {
+    return Status::InvalidArgument(
+        StrFormat("reference size %zu times window_size %zu exceeds the "
+                  "2^60 score bound",
+                  reference.size(), window_size));
+  }
   // Prepare first (validates the sample and interns the sorted reference).
   // Both modes keep the exact interned form: sketched streams fall back to
   // it for uncertain windows and every explanation runs against it.
@@ -121,9 +128,14 @@ Result<size_t> DriftMonitor::AddStream(std::string name,
     stream.window = window_size;
     stream.ring.reserve(window_size);
   } else {
+    // The detector shares the interned sorted sample; the aliasing pointer
+    // keeps the cache entry alive for as long as the detector uses it.
+    std::shared_ptr<const std::vector<double>> sorted(
+        stream.prepared, &stream.prepared->sorted_reference());
     MOCHE_ASSIGN_OR_RETURN(
         StreamingKs detector,
-        StreamingKs::Create(reference, window_size, options_.alpha));
+        StreamingKs::CreateOverSorted(std::move(sorted), window_size,
+                                      options_.alpha));
     stream.detector.emplace(std::move(detector));
   }
   MutexLock lock(state_mutex_.get());

@@ -2,7 +2,7 @@
 // deployment loop as a subsystem.
 //
 // The monitor owns N named streams. Each stream binds an incremental KS
-// detector (StreamingKs, O(log(n+m)) per observation) to an interned
+// detector (StreamingKs, O(log n + log w) per observation) to an interned
 // PreparedReference; observation batches fan out across a util/parallel
 // ThreadPool, one task per stream. When a stream's window drifts, the
 // monitor runs Moche::ExplainPrepared on the window snapshot and records a
@@ -11,10 +11,12 @@
 // (kEveryKPushes) instead of thousands of duplicates.
 //
 // Reference modes (MonitorOptions::reference_mode): in the default kExact
-// mode every stream owns a StreamingKs detector, which copies the full
-// reference into a per-stream order-statistic treap — O(n) memory per
-// stream, O(log(n+m)) per push. kSketched replaces the per-stream copy
-// with one shared KLL summary of the reference (sketch::SketchedReference,
+// mode every stream owns a StreamingKs detector whose order-statistic
+// treap holds only the window and reads reference ranks from the interned
+// sorted sample, shared through an aliasing shared_ptr — O(w) memory and
+// O(w) AddStream per stream once the reference is interned, O(log n +
+// log w) per push. kSketched instead judges windows against one shared
+// KLL summary of the reference (sketch::SketchedReference,
 // O(sketch_k * log(n/sketch_k)) memory per *fleet*): each stream keeps
 // only its window ring, and every full-window push is triaged through
 // Moche::TriageSketchedInto. Certified verdicts settle the push on the
@@ -22,14 +24,14 @@
 // an explanation) fall back to the interned exact reference, which the
 // fleet still shares once for fallback and for ExplainPrepared. The
 // trade: a sketched push re-sorts its window (O(w log w) against the
-// summary) instead of the detector's incremental O(log), so kSketched is
-// the memory knob for fleets of thousands of streams over giant
-// references, not a latency upgrade. Detection semantics are recompute
-// semantics — each full window is judged like ks::RunSorted on its
-// snapshot, matching RecheckWindows; a treap detector in kExact mode can
-// disagree within ~1e-9 of the decision boundary (see
-// fuzz/streaming_ks_fuzz.cc), so cross-mode event logs are equal on
-// well-separated data but not bit-contractual.
+// summary) instead of the detector's incremental O(log). Both modes keep
+// per-stream state O(w) and intern the exact sample once per fleet, so
+// kSketched is neither a latency nor a memory upgrade over kExact.
+// Detection semantics are recompute semantics — each full window is
+// judged like ks::RunSorted on its snapshot, matching RecheckWindows; the
+// integer-score detector in kExact mode can disagree within ~1e-9 of the
+// decision boundary (see fuzz/streaming_ks_fuzz.cc), so cross-mode event
+// logs are equal on well-separated data but not bit-contractual.
 // Both modes share one drain loop: only the step that judges a full
 // window differs, and the excursion / re-arm / fire policy is written once.
 //
@@ -52,11 +54,12 @@
 //
 // Ownership: the monitor owns its streams, the event log, the
 // prepared-reference cache, a pool of per-worker ExplainWorkspaces, and
-// (when num_threads resolves > 1) the thread pool; AddStream copies the
-// reference it is given. Observations must be finite — PushBatch validates
-// up front and rejects NaN/Inf with InvalidArgument before touching any
-// stream, so a bad batch never half-applies (the NaN/empty-sample
-// conventions are collected in docs/ARCHITECTURE.md).
+// (when num_threads resolves > 1) the thread pool; AddStream interns one
+// copy of each distinct reference it is given, which every stream over
+// that reference (and its detector) shares. Observations must be finite —
+// PushBatch validates up front and rejects NaN/Inf with InvalidArgument
+// before touching any stream, so a bad batch never half-applies (the
+// NaN/empty-sample conventions are collected in docs/ARCHITECTURE.md).
 //
 // Allocation contract: each worker thread drains streams against its own
 // lazily created workspace (created once, reused forever; stats() reports
@@ -115,8 +118,8 @@ enum class WindowPreference {
 
 /// How streams hold their reference for detection (see the file header).
 enum class ReferenceMode {
-  /// Per-stream StreamingKs detector over a private copy of the reference:
-  /// O(n) memory per stream, O(log(n+m)) per push. The default.
+  /// Per-stream StreamingKs detector over the interned sorted reference:
+  /// O(w) memory per stream, O(log n + log w) per push. The default.
   kExact,
   /// One shared KLL summary per distinct reference: O(sketch_k log(n/k))
   /// per fleet. Certified triage on the summary; exact fallback (via the
@@ -196,11 +199,15 @@ class DriftMonitor {
 
   /// Registers a stream with the given window capacity, bound to the
   /// interned PreparedReference for (reference, options.alpha). In kExact
-  /// mode the stream also builds a StreamingKs over its own reference
-  /// copy; in kSketched mode it instead shares the interned KLL summary
-  /// (built once per distinct reference at capacity sketch_k) and holds
-  /// only a window ring. Returns the stream index. Streams sharing a
-  /// reference sort/validate/sketch it once (see PreparedReferenceCache).
+  /// mode the stream also builds a StreamingKs over that entry's sorted
+  /// sample (shared, not copied: O(w) once the reference is interned); in
+  /// kSketched mode it instead shares the interned KLL summary (built once
+  /// per distinct reference at capacity sketch_k) and holds only a window
+  /// ring. Either way the window ring is reserved in full up front.
+  /// Returns the stream index. Streams sharing a reference
+  /// sort/validate/sketch it once (see PreparedReferenceCache).
+  /// InvalidArgument (cache untouched) when window_size is 0 or
+  /// reference.size() * window_size exceeds StreamingKs::kMaxScoreProduct.
   Result<size_t> AddStream(std::string name,
                            const std::vector<double>& reference,
                            size_t window_size);

@@ -88,6 +88,57 @@ std::vector<size_t> SectionPayloadOffsets(const std::string& bytes) {
   return offsets;
 }
 
+uint64_t ReadU64At(const std::string& bytes, size_t pos) {
+  uint64_t value = 0;
+  for (int i = 0; i < 8; ++i) {
+    value |= static_cast<uint64_t>(
+                 static_cast<uint8_t>(bytes[pos + static_cast<size_t>(i)]))
+             << (8 * i);
+  }
+  return value;
+}
+
+void WriteU64At(uint64_t value, size_t pos, std::string* bytes) {
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[pos + static_cast<size_t>(i)] =
+        static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+}
+
+/// Rewrites the window capacity of the first stream in `shard`'s stream
+/// table (section 4) to `capacity`, then recomputes that section's CRC32C
+/// so only the codec's own checks stand between the patch and a restore.
+void PatchFirstStreamCapacity(bool exact_mode, uint64_t capacity,
+                              std::string* shard) {
+  size_t pos = kSnapshotMagicSize + 4;
+  while (pos + 12 <= shard->size()) {
+    const uint32_t id = static_cast<uint32_t>(ReadU64At(*shard, pos));
+    const uint64_t length = ReadU64At(*shard, pos + 4);
+    const size_t payload = pos + 12;
+    if (id == 4) {
+      // count, index, name (u64 length + bytes), ref index, ticks,
+      // in_excursion u8, pushes, drift ticks, three triage counters; then
+      // the detector state (n, capacity, ...) or the ring (capacity, ...).
+      size_t field = payload + 16;
+      field += 8 + static_cast<size_t>(ReadU64At(*shard, field));
+      field += 8 + 8 + 1 + 8 + 8 + 24;
+      if (exact_mode) field += 8;
+      WriteU64At(capacity, field, shard);
+      const std::string framed =
+          shard->substr(pos, 12 + static_cast<size_t>(length));
+      const uint32_t crc = Crc32c(framed);
+      for (int i = 0; i < 4; ++i) {
+        (*shard)[payload + static_cast<size_t>(length) +
+                 static_cast<size_t>(i)] =
+            static_cast<char>((crc >> (8 * i)) & 0xFF);
+      }
+      return;
+    }
+    pos = payload + static_cast<size_t>(length) + 4;
+  }
+  ADD_FAILURE() << "no stream table section";
+}
+
 TEST(SnapshotCorruptionTest, EmptyAndHeaderlessInputsAreInvalidArgument) {
   auto empty = SnapshotReader::Open("", "empty.snap");
   ASSERT_FALSE(empty.ok());
@@ -229,6 +280,28 @@ TEST(SnapshotCorruptionTest, HostileLengthFieldsCannotAllocate) {
   hostile.shards.push_back(shard);
   auto restored = MonitorCodec::Deserialize(hostile, RestoreOptions{});
   EXPECT_FALSE(restored.ok());
+}
+
+TEST(SnapshotCorruptionTest, HugeWindowCapacityIsRejectedWithoutAllocating) {
+  // A CRC-clean stream table declaring a 2^40- or 2^61-slot window for a
+  // stream that holds 40 observations: restore must return a Status rather
+  // than size a ring by the declared capacity (bad_alloc / length_error).
+  for (bool exact_mode : {true, false}) {
+    const CheckpointBlobs blobs =
+        exact_mode ? MakeBlobs(1) : MakeBlobs(1, SketchedOptions(64));
+    // The unpatched blobs restore, so the patch alone causes the failure.
+    ASSERT_TRUE(MonitorCodec::Deserialize(blobs, RestoreOptions{}).ok());
+    for (uint64_t capacity : {uint64_t{1} << 40, uint64_t{1} << 61}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (exact_mode ? "kExact" : "kSketched") << " capacity "
+                   << capacity);
+      CheckpointBlobs patched = blobs;
+      PatchFirstStreamCapacity(exact_mode, capacity, &patched.shards[0]);
+      auto restored = MonitorCodec::Deserialize(patched, RestoreOptions{});
+      ASSERT_FALSE(restored.ok());
+      EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST(SnapshotCorruptionTest, BadReferenceModeByteIsRejected) {

@@ -102,6 +102,9 @@ TEST(DriftMonitorTest, AddStreamValidatesInputs) {
     // nor intern (and count a miss for) a new one.
     EXPECT_FALSE(monitor->AddStream("zero-window", interned, 0).ok());
     EXPECT_FALSE(monitor->AddStream("zero-window", {4.0, 5.0}, 0).ok());
+    // 3 * 2^59 breaks the detector's 2^60 integer-score bound.
+    EXPECT_FALSE(
+        monitor->AddStream("huge-window", interned, size_t{1} << 59).ok());
     EXPECT_EQ(monitor->num_streams(), 1u);
     EXPECT_EQ(monitor->stream_name(0), "ok");
     const auto after = monitor->cache_stats();

@@ -1,8 +1,11 @@
-// The zero-allocation contract of the explain pipeline (ISSUE 5):
+// The allocation contracts of the explain pipeline and the monitor:
 //  * a warmed-up Moche::ExplainPreparedInto call performs no heap
 //    allocation when the caller recycles its workspace and report;
 //  * a warmed-up sequential DriftMonitor::PushBatch that fires no drift
-//    event performs no heap allocation at all.
+//    event performs no heap allocation at all;
+//  * a kExact stream costs O(w), not O(n): a cache-hit AddStream and a
+//    checkpoint restore make as many allocation calls over a 50k-value
+//    reference as over a 1k-value one.
 //
 // testing_alloc.h defines the counting global operator new, so this file
 // must be this binary's only TU including it.
@@ -12,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/moche.h"
+#include "persist/monitor_codec.h"
 #include "stream/drift_monitor.h"
 #include "testing_alloc.h"
 #include "util/rng.h"
@@ -187,6 +191,87 @@ TEST(WorkspaceAllocTest, WorkspacePoolStatsReportCreationAndFootprint) {
   const stream::DriftMonitor::Stats stats = monitor->stats();
   EXPECT_EQ(stats.workspaces_created, 1u);  // one sequential worker
   EXPECT_GT(stats.workspace_bytes, 0u);
+}
+
+// A quiet kExact workload over an evenly spaced reference of n values:
+// the windows are evenly spaced too, so no push ever drifts.
+std::vector<double> GridReference(size_t n) {
+  std::vector<double> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back((static_cast<double>(i) + 0.5) / static_cast<double>(n));
+  }
+  return out;
+}
+
+stream::DriftMonitor QuietExactMonitor(const std::vector<double>& reference,
+                                       size_t streams, size_t window) {
+  stream::MonitorOptions options;
+  options.num_threads = 1;
+  auto monitor = stream::DriftMonitor::Create(options);
+  EXPECT_TRUE(monitor.ok());
+  for (size_t i = 0; i < streams; ++i) {
+    EXPECT_TRUE(
+        monitor->AddStream("s" + std::to_string(i), reference, window).ok());
+  }
+  // Two laps of the ring, so restore replays full, wrapped windows.
+  std::vector<std::vector<double>> batch(streams);
+  for (size_t t = 0; t < 2 * window; ++t) {
+    const double v = (static_cast<double>((t * 37) % window) + 0.5) /
+                     static_cast<double>(window);
+    for (std::vector<double>& slot : batch) slot.push_back(v);
+  }
+  EXPECT_TRUE(monitor->PushBatch(batch).ok());
+  EXPECT_TRUE(monitor->events().empty());
+  return std::move(*monitor);
+}
+
+// Allocation calls of a kExact AddStream whose reference is already
+// interned (an earlier stream added it).
+size_t CacheHitAddStreamAllocations(size_t n, size_t window) {
+  const std::vector<double> reference = GridReference(n);
+  stream::DriftMonitor monitor = QuietExactMonitor(reference, 1, window);
+  std::string name = "second";
+  AllocationProbe probe;
+  const bool ok = monitor.AddStream(std::move(name), reference, window).ok();
+  const size_t allocations = probe.Delta();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(monitor.cache_stats().hits, 1u);
+  return allocations;
+}
+
+// Allocation calls of restoring a checkpoint of a three-stream kExact
+// monitor. The reference table read costs the same number of calls at
+// every n (one buffer per array); anything per reference value would not.
+size_t RestoreAllocations(size_t n, size_t window) {
+  const stream::DriftMonitor monitor =
+      QuietExactMonitor(GridReference(n), 3, window);
+  auto blobs = persist::MonitorCodec::Serialize(monitor,
+                                                persist::CheckpointOptions{});
+  EXPECT_TRUE(blobs.ok());
+  AllocationProbe probe;
+  auto restored =
+      persist::MonitorCodec::Deserialize(*blobs, persist::RestoreOptions{});
+  const size_t allocations = probe.Delta();
+  EXPECT_TRUE(restored.ok());
+  return allocations;
+}
+
+TEST(WorkspaceAllocTest, ExactStreamSetupAllocationsDoNotScaleWithReference) {
+  const size_t kWindow = 64;
+  const size_t small = CacheHitAddStreamAllocations(1000, kWindow);
+  const size_t large = CacheHitAddStreamAllocations(50000, kWindow);
+  EXPECT_EQ(small, large)
+      << "a cache-hit kExact AddStream must not allocate per reference value";
+  EXPECT_LT(small, 16u);
+}
+
+TEST(WorkspaceAllocTest, ExactRestoreAllocationsDoNotScaleWithReference) {
+  const size_t kWindow = 64;
+  const size_t small = RestoreAllocations(1000, kWindow);
+  const size_t large = RestoreAllocations(50000, kWindow);
+  EXPECT_EQ(small, large)
+      << "a kExact restore must rebuild detectors from the window alone";
 }
 
 }  // namespace
