@@ -10,7 +10,10 @@
 //    ExplainWorkspace + report) and its steady-state allocation count —
 //    `expl.steady_allocs` counts heap allocation calls per warmed-up
 //    ExplainPreparedInto call via the alloc_probe.h operator-new hooks;
-//    the zero-allocation pipeline keeps it at exactly 0.
+//    the zero-allocation pipeline keeps it at exactly 0,
+//  * a prepared explain shaped like one exact_fleet event in monitor_bench
+//    (n = 100000 reference, w = 1000 window, alpha = 0.001), where the
+//    O(n + m) work over the whole reference dominates the explanation.
 //
 // Usage: bench_micro_core [--quick]
 //
@@ -305,6 +308,53 @@ int main(int argc, char** argv) {
                       static_cast<double>(steady_allocs_total) /
                           static_cast<double>(steady_allocs_ops),
                       "count", 1);
+
+  // One exact_fleet-shaped explanation: a large N(0,1) reference and a
+  // window whose last 15% is a transient spike. Unlike explain.prepared.wN
+  // (n = m), n >> m here, so this row tracks the per-explanation cost of
+  // walking the whole reference.
+  {
+    const size_t kRefSize = 100000;
+    const size_t kWindow = 1000;
+    Rng rng(2024);
+    std::vector<double> reference(kRefSize);
+    for (double& v : reference) v = rng.Normal();
+    std::vector<double> window(kWindow);
+    for (size_t i = 0; i < kWindow; ++i) {
+      window[i] = i < kWindow * 85 / 100 ? rng.Normal() : rng.Normal(3.0, 0.5);
+    }
+    const PreferenceList pref = RandomPreference(kWindow, &rng);
+    Moche engine;
+    auto prepared = engine.Prepare(reference, 0.001);
+    ExplainWorkspace workspace;
+    MocheReport report;
+    if (!prepared.ok() || !engine
+                               .ExplainPreparedInto(*prepared, window, pref,
+                                                    &workspace, &report)
+                               .ok()) {
+      std::fprintf(stderr, "explain.prepared.fleet: setup failed\n");
+      return 1;
+    }
+    // One call takes milliseconds, so many repetitions stay cheap and
+    // steady the median.
+    bench::RunnerOptions reps;
+    reps.warmup = 3;
+    reps.repetitions = quick ? 11 : 41;
+    volatile bool bsink = false;
+    auto stats = bench::Measure(
+        [&] {
+          bsink = engine
+                      .ExplainPreparedInto(*prepared, window, pref,
+                                           &workspace, &report)
+                      .ok();
+        },
+        reps);
+    bench::AppendTiming(&results, kBench,
+                        "explain.prepared.fleet.n100000.w1000", stats, 1, 1.0,
+                        "s/op");
+    std::printf("  explain.prepared.fleet n=%zu w=%zu done (k=%zu)\n",
+                kRefSize, kWindow, report.k);
+  }
 
   // The batched triage entry point: many same-width windows against one
   // prepared reference in one SoA call (DriftMonitor::RecheckWindows).

@@ -1,5 +1,5 @@
-// Differential oracle: the four Explain entry points against each other,
-// plus workspace recycling across size-mixed windows.
+// Differential oracle: the four Explain entry points against each other
+// and against ks::Run, plus workspace recycling across size-mixed windows.
 //
 // Moche::Explain, ExplainPrepared, ExplainInto and ExplainPreparedInto all
 // promise bit-identical reports on the same inputs (the *Into paths merely
@@ -10,6 +10,11 @@
 // status code, explanation indices, sizes, outcomes (bit-exact statistics)
 // or search counters. FindExplanationSize* must agree with the report's
 // phase-1 numbers, and EvaluateBatchPrepared must match ks::Run per window.
+//
+// The report's two KS outcomes are swept over the explanation's cumulative
+// frame (C_T, then C_T - C_I) rather than recomputed from the samples, so
+// they are also checked against the independent ks::Run(R, T) and
+// ks::Run(R, T \ I): statistic and threshold bit-exact, location by value.
 
 #include <cstring>
 #include <utility>
@@ -134,7 +139,34 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                      moche::StatusCodeToString(via_prepared.status().code()),
                      moche::StatusCodeToString(into_status.code()),
                      moche::StatusCodeToString(prepared_into_status.code()));
+    // Internal means phase 1 and phase 2 disagree or the explanation does
+    // not reverse the test: a bug on every valid input.
+    MOCHE_FUZZ_CHECK(!base.status().IsInternal(), "window %zu: %s", w,
+                     base.status().message().c_str());
+    auto direct = moche::ks::Run(reference, test, alpha);
+    MOCHE_FUZZ_CHECK(direct.ok(), "direct recompute failed: %s",
+                     direct.status().message().c_str());
+    MOCHE_FUZZ_CHECK(!base.status().IsAlreadyPasses() || !direct->reject,
+                     "window %zu: AlreadyPasses but ks::Run rejects", w);
     if (base.ok()) {
+      CheckOutcomesIdentical(base->original, *direct, "original vs ks::Run",
+                             w);
+      std::vector<bool> removed(m, false);
+      for (size_t idx : base->explanation.indices) {
+        MOCHE_FUZZ_CHECK(idx < m && !removed[idx],
+                         "window %zu: explanation index %zu invalid", w, idx);
+        removed[idx] = true;
+      }
+      std::vector<double> remaining;
+      for (size_t i = 0; i < m; ++i) {
+        if (!removed[i]) remaining.push_back(test[i]);
+      }
+      auto direct_after = moche::ks::Run(reference, remaining, alpha);
+      MOCHE_FUZZ_CHECK(direct_after.ok(), "T \\ I recompute failed: %s",
+                       direct_after.status().message().c_str());
+      CheckOutcomesIdentical(base->after, *direct_after, "after vs ks::Run",
+                             w);
+
       CheckReportsIdentical(*base, *via_prepared, "ExplainPrepared", w);
       CheckReportsIdentical(*base, into_report, "ExplainInto", w);
       CheckReportsIdentical(*base, prepared_into_report, "ExplainPreparedInto",

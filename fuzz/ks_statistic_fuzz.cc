@@ -1,5 +1,5 @@
-// Differential oracle: ks::Statistic / StatisticSorted /
-// StatisticSortedScratch against a naive double-loop ECDF reference.
+// Differential oracle: ks::Statistic / StatisticSorted against a naive
+// double-loop ECDF reference.
 //
 // The reference recomputes D(R,T) the textbook way — for every grid value
 // x, count r <= x and t <= x with two linear scans and take
@@ -98,7 +98,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                    "Statistic location %.17g != naive %.17g", lib_loc,
                    naive_loc);
 
-  // The sorted and scratch variants must agree bit-exactly with Statistic.
+  // The sorted variant must agree bit-exactly with Statistic.
   std::vector<double> r_sorted = r;
   std::vector<double> t_sorted = t;
   std::sort(r_sorted.begin(), r_sorted.end());
@@ -111,21 +111,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   MOCHE_FUZZ_CHECK(sorted_loc == naive_loc,
                    "StatisticSorted location %.17g != naive %.17g",
                    sorted_loc, naive_loc);
-
-  // Run the scratch variant twice through one warm scratch: the second call
-  // checks buffer recycling does not leak state between instances.
-  moche::ks::KsSweepScratch scratch;
-  for (int pass = 0; pass < 2; ++pass) {
-    double scratch_loc = 0.0;
-    const double via_scratch = moche::ks::StatisticSortedScratch(
-        r_sorted, t_sorted, &scratch, &scratch_loc);
-    MOCHE_FUZZ_CHECK(SameBits(via_scratch, naive),
-                     "StatisticSortedScratch pass %d %.17g != naive %.17g",
-                     pass, via_scratch, naive);
-    MOCHE_FUZZ_CHECK(scratch_loc == naive_loc,
-                     "StatisticSortedScratch pass %d location mismatch",
-                     pass);
-  }
 
   // The full three-step test: reject must be exactly D > threshold.
   if (!r.empty() && !t.empty()) {

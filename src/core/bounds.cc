@@ -46,19 +46,10 @@ void BoundsEngine::Reset(const CumulativeFrame& frame, double alpha) {
   ct_d_.resize(q + 1);
   cr_d_.resize(q + 1);
   rigid_d_.resize(q + 1);
-  ct_.resize(q + 1);
-  rigid_.resize(q + 1);
-  ct_d_[0] = 0.0;
-  cr_d_[0] = 0.0;
-  rigid_d_[0] = static_cast<double>(-m);
-  ct_[0] = 0;
-  rigid_[0] = -m;
-  for (size_t i = 1; i <= q; ++i) {
+  for (size_t i = 0; i <= q; ++i) {
     const int64_t ct = frame.CT(i);
-    ct_[i] = ct;
     ct_d_[i] = static_cast<double>(ct);
     cr_d_[i] = static_cast<double>(frame.CR(i));
-    rigid_[i] = ct - m;
     rigid_d_[i] = static_cast<double>(ct - m);
   }
 }
@@ -86,6 +77,7 @@ void BoundsEngine::ComputeBoundsInto(size_t h, std::vector<int64_t>* lower,
                                      std::vector<int64_t>* upper) const {
   const size_t q = frame_->q();
   const int64_t hh = static_cast<int64_t>(h);
+  const int64_t m = static_cast<int64_t>(frame_->m());
   const double omega = Omega(h);
   const double rem = static_cast<double>(frame_->m() - h);
   const double scale = rem / static_cast<double>(frame_->n());
@@ -96,9 +88,10 @@ void BoundsEngine::ComputeBoundsInto(size_t h, std::vector<int64_t>* lower,
   for (size_t i = 1; i <= q; ++i) {
     const double gamma = ct_d_[i] - scale * cr_d_[i];
     if (gamma > running_max_gamma) running_max_gamma = gamma;
-    const int64_t lo = std::max({CeilTol(running_max_gamma - omega),
-                                 hh + rigid_[i], int64_t{0}});
-    const int64_t hi = std::min({FloorTol(gamma + omega), ct_[i], hh});
+    const int64_t ct = frame_->CT(i);
+    const int64_t lo = std::max(
+        {CeilTol(running_max_gamma - omega), hh + ct - m, int64_t{0}});
+    const int64_t hi = std::min({FloorTol(gamma + omega), ct, hh});
     (*lower)[i] = lo;
     (*upper)[i] = hi;
   }
@@ -112,6 +105,7 @@ bool BoundsEngine::ExistsQualifiedWithFailure(size_t h,
                                               ScanFailure* failure) const {
   const size_t q = frame_->q();
   const int64_t hh = static_cast<int64_t>(h);
+  const int64_t m = static_cast<int64_t>(frame_->m());
   const double hh_d = static_cast<double>(h);
   const double omega = Omega(h);
   const double rem = static_cast<double>(frame_->m() - h);
@@ -143,8 +137,9 @@ bool BoundsEngine::ExistsQualifiedWithFailure(size_t h,
     const double gamma = ct_d[stop] - scale * cr_d[stop];
     const double a = running_max_gamma - omega;  // seeds l_i's ceiling
     const double b = gamma + omega;              // seeds u_i's floor
-    const int64_t rigid_lo = std::max(hh + rigid_[stop], int64_t{0});
-    const int64_t rigid_hi = std::min(ct_[stop], hh);
+    const int64_t ct = frame_->CT(stop);
+    const int64_t rigid_lo = std::max(hh + ct - m, int64_t{0});
+    const int64_t rigid_hi = std::min(ct, hh);
     const int64_t lo = std::max(CeilTol(a), rigid_lo);
     const int64_t hi = std::min(FloorTol(b), rigid_hi);
     if (lo > hi) {
@@ -269,13 +264,14 @@ bool SizeScan::ExistsQualified(size_t h) {
         engine_.ct_d_[amax] - scale * engine_.cr_d_[amax];
     const double gamma_fail =
         engine_.ct_d_[fail] - scale * engine_.cr_d_[fail];
-    const int64_t hi =
-        std::min({FloorTol(gamma_fail + omega), engine_.ct_[fail], hh});
+    const int64_t ct = engine_.frame_->CT(fail);
+    const int64_t m = static_cast<int64_t>(engine_.frame_->m());
+    const int64_t hi = std::min({FloorTol(gamma_fail + omega), ct, hh});
     // u_fail is exact; the three l_fail terms are lower bounds (the two
     // rigid ones exact, the Gamma one via the prefix argmax), so lo > hi
     // here is a proof, never a guess.
-    const int64_t lo = std::max(
-        {CeilTol(gamma_max - omega), hh + engine_.rigid_[fail], int64_t{0}});
+    const int64_t lo =
+        std::max({CeilTol(gamma_max - omega), hh + ct - m, int64_t{0}});
     if (lo > hi) {
       ++probe_refutations_;
       return false;

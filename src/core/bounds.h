@@ -11,7 +11,7 @@
 //
 // Hot-path layout: the constructor flattens the cumulative frame into
 // structure-of-arrays coefficient vectors (C_T and C_R pre-converted to
-// double, the rigid integer bounds pre-offset), so each Theorem 1/2 check
+// double, the rigid bound pre-offset), so each Theorem 1/2 check
 // streams contiguous double arrays with the (m-h)/n division hoisted out of
 // the loop — the layout the runtime-dispatched SIMD fast-filter kernels
 // (util/simd.h) consume four (AVX2) or two (NEON) coordinates at a time.
@@ -117,12 +117,17 @@ class BoundsEngine {
   double alpha() const { return alpha_; }
   double critical_value() const { return c_alpha_; }
 
+  /// C_R[i] and C_T[i] for i in [0, q], as doubles: the flattened
+  /// coefficient arrays. Moche sweeps these for its KS decisions, so one
+  /// explanation merges R u T only once.
+  const double* cum_r_data() const { return cr_d_.data(); }
+  const double* cum_t_data() const { return ct_d_.data(); }
+
   /// Heap bytes retained by the coefficient arrays (capacity-based; see
   /// CumulativeFrame::FootprintBytes).
   size_t FootprintBytes() const {
     return (ct_d_.capacity() + cr_d_.capacity() + rigid_d_.capacity()) *
-               sizeof(double) +
-           (ct_.capacity() + rigid_.capacity()) * sizeof(int64_t);
+           sizeof(double);
   }
 
  private:
@@ -130,10 +135,10 @@ class BoundsEngine {
 
   // Structure-of-arrays coefficient view of the frame, one entry per
   // base-vector coordinate (index 0 is the constant C[0] = 0 entry). The
-  // three double arrays feed the SIMD fast-filter kernels; the two int64
-  // arrays carry the exact integer path's operands. The int64 -> double
-  // conversions happen once, in Reset (both exact — counts are far below
-  // 2^53).
+  // three double arrays feed the SIMD fast-filter kernels; the exact
+  // integer path reads its C_T operands from the frame itself. The
+  // int64 -> double conversions happen once, in Reset (all exact — counts
+  // are far below 2^53).
   //
   // frame_ is a pointer, not a reference, so Reset can rebind a reused
   // engine. Null only in the unbound default-constructed state.
@@ -143,8 +148,6 @@ class BoundsEngine {
   std::vector<double> ct_d_;     // C_T[i]
   std::vector<double> cr_d_;     // C_R[i]
   std::vector<double> rigid_d_;  // C_T[i] - m, so l's rigid term is h + this
-  std::vector<int64_t> ct_;      // C_T[i]
-  std::vector<int64_t> rigid_;   // C_T[i] - m
 };
 
 /// A Theorem 1 size walk that maintains bounds state incrementally across

@@ -39,10 +39,11 @@ Result<Explanation> BuildMostComprehensible(const BoundsEngine& engine,
                                             BuildStats* stats = nullptr);
 
 /// Caller-owned scratch for BuildMostComprehensibleInto. Members are
-/// rebuilt in place on every call (internal state, do not interpret);
-/// reusing one BuildScratch across calls is what makes the warm scan
-/// allocation-free. ExplainWorkspace embeds one.
+/// rebuilt in place on every call; reusing one BuildScratch across calls is
+/// what makes the warm scan allocation-free. ExplainWorkspace embeds one.
 struct BuildScratch {
+  /// After a call: the 1-based base-vector index of each test point (Moche
+  /// forms C_I from it). The other members are internal state.
   std::vector<size_t> value_index;
   PartialExplanationChecker checker;
   std::vector<unsigned char> pref_seen;

@@ -1,6 +1,7 @@
 #include "core/moche.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "core/bounds.h"
 #include "core/cumulative.h"
@@ -28,17 +29,23 @@ Status ValidateAndSortReference(const std::vector<double>& reference,
   return Status::OK();
 }
 
-// The KS outcome of sorted R vs sorted T, swept through the workspace's
-// merge buffers.
-KsOutcome DecideSorted(const std::vector<double>& r_sorted,
-                       const std::vector<double>& t_sorted, double alpha,
-                       ks::KsSweepScratch* sweep) {
-  double location = 0.0;
-  const double statistic =
-      ks::StatisticSortedScratch(r_sorted, t_sorted, sweep, &location);
-  KsOutcome out = ks::internal::DecideUnchecked(statistic, r_sorted.size(),
-                                                t_sorted.size(), alpha);
-  out.location = location;
+// The KS outcome of R against a test multiset of size m whose cumulative
+// counts on the engine's base vector are cum_t[1..q], swept against the
+// engine's C_R through the active SIMD kernel. Base values absent from both
+// R and that multiset only repeat the previous |F_R - F_T|, so the
+// first-strict-max location is the one ks::StatisticSorted finds on the
+// samples themselves. `front` is R's smallest value, StatisticSorted's
+// location when D = 0.
+KsOutcome SweepFrame(const BoundsEngine& engine, const double* cum_t,
+                     size_t m, double front) {
+  const CumulativeFrame& frame = engine.frame();
+  size_t best_index = SIZE_MAX;
+  const double statistic = simd::ActiveKernels().ecdf_sweep_cum(
+      engine.cum_r_data() + 1, cum_t + 1, frame.q(),
+      static_cast<double>(frame.n()), static_cast<double>(m), &best_index);
+  KsOutcome out =
+      ks::internal::DecideUnchecked(statistic, frame.n(), m, engine.alpha());
+  out.location = best_index == SIZE_MAX ? front : frame.Value(best_index + 1);
   return out;
 }
 
@@ -152,17 +159,19 @@ Status Moche::FindSizeSortedInto(const std::vector<double>& sorted_reference,
   MOCHE_RETURN_IF_ERROR(ks::ValidateSample(test, "test set"));
   SortInto(test.data(), test.size(), &ws.test_sorted_);
 
-  const KsOutcome original =
-      DecideSorted(sorted_reference, ws.test_sorted_, alpha, &ws.ks_sweep_);
+  // The frame is the explanation's one merge of R and T; the KS decision
+  // sweeps the engine's flattened copy of its cumulative vectors.
+  CumulativeFrame::BuildFromSortedUncheckedInto(sorted_reference,
+                                                ws.test_sorted_, &ws.frame_);
+  ws.engine_.Reset(ws.frame_, alpha);
+  const KsOutcome original = SweepFrame(ws.engine_, ws.engine_.cum_t_data(),
+                                       test.size(), sorted_reference.front());
   if (!original.reject) {
     return Status::AlreadyPasses(
         "R and T pass the KS test; there is nothing to explain");
   }
   report->original = original;
 
-  CumulativeFrame::BuildFromSortedUncheckedInto(sorted_reference,
-                                                ws.test_sorted_, &ws.frame_);
-  ws.engine_.Reset(ws.frame_, alpha);
   WallTimer timer;
   MOCHE_ASSIGN_OR_RETURN(
       report->size_stats,
@@ -193,22 +202,27 @@ Status Moche::ExplainSortedInto(const std::vector<double>& sorted_reference,
       &report->explanation));
   report->seconds_construction = timer.Seconds();
 
-  // T \ I, built from the index mask directly (copying the reference into a
-  // KsInstance just for RemoveExplanation would cost O(n) per window).
-  ws.removed_.assign(test.size(), 0);
-  for (size_t idx : report->explanation.indices) ws.removed_[idx] = 1;
-  std::vector<double>& remaining = ws.remaining_;
-  remaining.clear();
-  remaining.reserve(test.size() - report->explanation.size());
-  for (size_t i = 0; i < test.size(); ++i) {
-    if (!ws.removed_[i]) remaining.push_back(test[i]);
-  }
-  if (remaining.empty()) {
+  // R vs T \ I on the same frame: C_{T \ I} = C_T - C_I, with C_I
+  // prefix-summed from the base-vector index the builder recorded for each
+  // test point. No copy of T \ I, no sort, no second merge.
+  const size_t m_after = test.size() - report->explanation.size();
+  if (m_after == 0) {
     return Status::Internal("explanation removed the whole test set");
   }
-  std::sort(remaining.begin(), remaining.end());
-  report->after =
-      DecideSorted(sorted_reference, remaining, alpha, &ws.ks_sweep_);
+  const size_t q = ws.frame_.q();
+  const double* cum_t = ws.engine_.cum_t_data();
+  std::vector<double>& cum_after = ws.cum_after_;
+  cum_after.assign(q + 1, 0.0);
+  for (size_t idx : report->explanation.indices) {
+    cum_after[ws.build_.value_index[idx]] += 1.0;
+  }
+  double cum_removed = 0.0;
+  for (size_t i = 1; i <= q; ++i) {
+    cum_removed += cum_after[i];
+    cum_after[i] = cum_t[i] - cum_removed;
+  }
+  report->after = SweepFrame(ws.engine_, cum_after.data(), m_after,
+                             sorted_reference.front());
   if (options_.validate_result && report->after.reject) {
     return Status::Internal(
         "constructed explanation does not reverse the KS test");
@@ -221,13 +235,18 @@ Status Moche::EvaluateBatchPrepared(const PreparedReference& prepared,
                                     ExplainWorkspace* workspace,
                                     std::vector<KsOutcome>* outcomes) const {
   MOCHE_RETURN_IF_ERROR(ValidateBatch(batch));
-  ExplainWorkspace& ws = *workspace;
+  std::vector<double>& test_sorted = workspace->test_sorted_;
   outcomes->resize(batch.count);
   for (size_t w = 0; w < batch.count; ++w) {
-    SortInto(batch.data + w * batch.width, batch.width, &ws.test_sorted_);
-    (*outcomes)[w] = DecideSorted(prepared.sorted_reference_,
-                                  ws.test_sorted_, prepared.alpha_,
-                                  &ws.ks_sweep_);
+    SortInto(batch.data + w * batch.width, batch.width, &test_sorted);
+    double location = 0.0;
+    const double statistic = ks::StatisticSorted(prepared.sorted_reference_,
+                                                 test_sorted, &location);
+    KsOutcome& out = (*outcomes)[w];
+    out = ks::internal::DecideUnchecked(statistic,
+                                        prepared.sorted_reference_.size(),
+                                        batch.width, prepared.alpha_);
+    out.location = location;
   }
   return Status::OK();
 }

@@ -54,8 +54,10 @@ struct MocheOptions {
   /// identical explanations.
   bool incremental_partial_check = true;
 
-  /// Re-run the KS test on R vs T \ I before returning (cheap insurance;
-  /// an Internal error here would indicate a bug in the bounds algebra).
+  /// Fail with Internal when the report's `after` outcome (R vs T \ I,
+  /// swept over the explanation's frame as C_T - C_I; always computed)
+  /// still rejects. Cheap insurance: tripping it would indicate a bug in
+  /// the bounds algebra.
   bool validate_result = true;
 };
 
@@ -244,9 +246,9 @@ class Moche {
                            MocheReport* report) const;
 
   /// Phase 1, the one copy behind ExplainSortedInto and FindExplanationSize*
-  /// (same preconditions): validate and sort T, decide, build the frame and
-  /// bounds engine, search the size. Fills report->original, size_stats,
-  /// k, k_hat and seconds_size_search.
+  /// (same preconditions): validate and sort T, build the frame and bounds
+  /// engine, decide from the frame, search the size. Fills
+  /// report->original, size_stats, k, k_hat and seconds_size_search.
   Status FindSizeSortedInto(const std::vector<double>& sorted_reference,
                             double alpha, const std::vector<double>& test,
                             ExplainWorkspace* workspace,

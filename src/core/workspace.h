@@ -2,8 +2,10 @@
 // explain pipeline.
 //
 // One MOCHE explanation needs a sorted copy of the test window, a
-// CumulativeFrame, the BoundsEngine's flattened coefficient array, and the
-// phase-2 builder/checker buffers. The one-shot entry points allocate all
+// CumulativeFrame (the explanation's one merge of R and T), the
+// BoundsEngine's flattened coefficient arrays (which the KS decisions
+// sweep too), the phase-2 builder/checker buffers, and the C_T - C_I
+// vector of the final check. The one-shot entry points allocate all
 // of that per call — fine for a single explanation, pure churn for the
 // paper's Section 6 workloads (and the stream monitor), which explain
 // thousands of windows against one prepared reference. An ExplainWorkspace
@@ -29,7 +31,6 @@
 #include "core/bounds.h"
 #include "core/builder.h"
 #include "core/cumulative.h"
-#include "ks/ks_test.h"
 
 namespace moche {
 
@@ -50,11 +51,10 @@ class ExplainWorkspace {
   /// the workspace-pool footprint.
   size_t FootprintBytes() const {
     return (reference_sorted_.capacity() + test_sorted_.capacity() +
-            remaining_.capacity()) *
+            cum_after_.capacity()) *
                sizeof(double) +
-           removed_.capacity() + frame_.FootprintBytes() +
-           engine_.FootprintBytes() + build_.FootprintBytes() +
-           ks_sweep_.FootprintBytes();
+           frame_.FootprintBytes() + engine_.FootprintBytes() +
+           build_.FootprintBytes();
   }
 
  private:
@@ -62,12 +62,10 @@ class ExplainWorkspace {
 
   std::vector<double> reference_sorted_;  // sorted R of the raw-R entry points
   std::vector<double> test_sorted_;
-  ks::KsSweepScratch ks_sweep_;  // SIMD |F_R - F_T| sweep merge buffers
   CumulativeFrame frame_;
   BoundsEngine engine_;
   BuildScratch build_;
-  std::vector<unsigned char> removed_;  // index mask for T \ I
-  std::vector<double> remaining_;       // T \ I, then sorted
+  std::vector<double> cum_after_;  // C_T - C_I over the frame, for T \ I
 };
 
 }  // namespace moche

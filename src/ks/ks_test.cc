@@ -142,51 +142,6 @@ double StatisticSorted(const std::vector<double>& r_sorted,
   return best;
 }
 
-double StatisticSortedScratch(const std::vector<double>& r_sorted,
-                              const std::vector<double>& t_sorted,
-                              KsSweepScratch* scratch, double* location) {
-  if (r_sorted.empty() || t_sorted.empty()) {
-    // Degenerate conventions live in one place.
-    return StatisticSorted(r_sorted, t_sorted, location);
-  }
-  const size_t nr = r_sorted.size();
-  const size_t nt = t_sorted.size();
-  scratch->values.clear();
-  scratch->cum_r.clear();
-  scratch->cum_t.clear();
-  scratch->values.reserve(nr + nt);
-  scratch->cum_r.reserve(nr + nt);
-  scratch->cum_t.reserve(nr + nt);
-  size_t i = 0;
-  size_t j = 0;
-  while (i < nr || j < nt) {
-    double x;
-    if (j >= nt || (i < nr && r_sorted[i] <= t_sorted[j])) {
-      x = r_sorted[i];
-    } else {
-      x = t_sorted[j];
-    }
-    while (i < nr && r_sorted[i] == x) ++i;
-    while (j < nt && t_sorted[j] == x) ++j;
-    scratch->values.push_back(x);
-    // Exact conversions (counts are far below 2^53), so the kernel's
-    // cum/n division sees the very same doubles StatisticSorted divides.
-    scratch->cum_r.push_back(static_cast<double>(i));
-    scratch->cum_t.push_back(static_cast<double>(j));
-  }
-  size_t best_index = SIZE_MAX;
-  const double best = simd::ActiveKernels().ecdf_sweep_cum(
-      scratch->cum_r.data(), scratch->cum_t.data(), scratch->values.size(),
-      static_cast<double>(nr), static_cast<double>(nt), &best_index);
-  if (location != nullptr) {
-    // The kernel leaves best_index alone when every |F_R - F_T| is zero —
-    // mirror StatisticSorted's front-value convention then.
-    *location =
-        best_index == SIZE_MAX ? r_sorted.front() : scratch->values[best_index];
-  }
-  return best;
-}
-
 double Statistic(std::vector<double> r, std::vector<double> t,
                  double* location) {
   // Screen before sorting: std::sort on a NaN-bearing range is UB. (Inf is
@@ -245,6 +200,21 @@ Result<KsOutcome> Run(std::vector<double> r, std::vector<double> t,
 }
 
 }  // namespace ks
+
+namespace {
+
+// The smallest reference value on a union grid: StatisticSorted's location
+// when no grid value separates the samples (D = 0) or T is empty. 0.0 only
+// if the grid holds no reference value (R empty, a precondition violation).
+double SmallestReferenceValue(const std::vector<double>& values,
+                              const std::vector<int64_t>& count_r) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (count_r[i] > 0) return values[i];
+  }
+  return 0.0;
+}
+
+}  // namespace
 
 RemovalKs::RemovalKs(const std::vector<double>& r,
                      const std::vector<double>& t, double alpha)
@@ -340,13 +310,7 @@ KsOutcome RemovalKs::CurrentOutcome() const {
     out.statistic = 1.0;
     out.threshold = 0.0;
     out.reject = true;
-    out.location = 0.0;
-    for (size_t i = 0; i < values_.size(); ++i) {
-      if (count_r_[i] > 0) {
-        out.location = values_[i];
-        break;
-      }
-    }
+    out.location = SmallestReferenceValue(values_, count_r_);
     return out;
   }
   const double n = static_cast<double>(n_);
@@ -354,14 +318,15 @@ KsOutcome RemovalKs::CurrentOutcome() const {
   // The kernel prefix-sums count_t - removed in-register and divides the
   // cumulative counts exactly as the scalar loop did — bit-identical, with
   // the same first-strict-max location semantics (best_index is left alone
-  // when every |F_R - F_T| is zero, mirroring the front-value convention).
+  // when every |F_R - F_T| is zero; StatisticSorted then reports R's
+  // smallest value, which need not be the grid's smallest).
   size_t best_index = SIZE_MAX;
   const double best = simd::ActiveKernels().ecdf_sweep_counts(
       cum_r_d_.data(), count_t_.data(), removed_.data(), values_.size(), n,
       m_rem, &best_index);
   out = ks::internal::DecideUnchecked(best, n_, m_ - removed_total_, alpha_);
   out.location = best_index == SIZE_MAX
-                     ? (values_.empty() ? 0.0 : values_.front())
+                     ? SmallestReferenceValue(values_, count_r_)
                      : values_[best_index];
   return out;
 }

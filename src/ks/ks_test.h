@@ -96,32 +96,6 @@ double StatisticSorted(const std::vector<double>& r_sorted,
                        const std::vector<double>& t_sorted,
                        double* location = nullptr);
 
-/// Reusable merge buffers for StatisticSortedScratch: the union grid of the
-/// two samples and the cumulative counts at each grid point, pre-converted
-/// to double so the |F_R - F_T| sweep runs as one contiguous SIMD pass
-/// (util/simd.h, ecdf_sweep_cum). Capacity persists across calls — a warm
-/// scratch recycled over same-sized instances allocates nothing.
-struct KsSweepScratch {
-  std::vector<double> values;  ///< unique values of R u T, ascending
-  std::vector<double> cum_r;   ///< #\{r in R : r <= values[k]\}
-  std::vector<double> cum_t;   ///< #\{t in T : t <= values[k]\}
-
-  /// Heap bytes retained (capacity-based, as elsewhere in the tree).
-  size_t FootprintBytes() const {
-    return (values.capacity() + cum_r.capacity() + cum_t.capacity()) *
-           sizeof(double);
-  }
-};
-
-/// As StatisticSorted, bit-identical result, but merges into `scratch` and
-/// runs the sweep through the active SIMD kernel table. The hot explain
-/// loops use this; one-shot callers can keep StatisticSorted (which
-/// allocates nothing at all).
-double StatisticSortedScratch(const std::vector<double>& r_sorted,
-                              const std::vector<double>& t_sorted,
-                              KsSweepScratch* scratch,
-                              double* location = nullptr);
-
 /// D(R,T) for samples in arbitrary order (sorts copies). Returns NaN (and
 /// location 0.0) if either sample contains NaN — a NaN observation has no
 /// rank, and handing it to std::sort would be UB, not a statistic.

@@ -1,7 +1,10 @@
 #include "core/moche.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "ks/ks_test.h"
 #include "util/rng.h"
 
 namespace moche {
@@ -86,6 +89,84 @@ TEST(MocheTest, OptionsAblationsAgreeOnOutput) {
   EXPECT_EQ(a->explanation.indices, c->explanation.indices);
   EXPECT_EQ(a->k, b->k);
   EXPECT_EQ(b->k_hat, 1u);  // ablation starts the scan at h = 1
+}
+
+void ExpectSameOutcome(const KsOutcome& got, const KsOutcome& want) {
+  EXPECT_EQ(got.statistic, want.statistic);
+  EXPECT_EQ(got.threshold, want.threshold);
+  EXPECT_EQ(got.reject, want.reject);
+  EXPECT_EQ(got.location, want.location);
+  EXPECT_EQ(got.n, want.n);
+  EXPECT_EQ(got.m, want.m);
+}
+
+// Both KS outcomes of a report are swept over the explanation's one frame
+// (C_T, then C_T - C_I); they must equal ks::RunSorted on the samples
+// themselves — same D bits, same threshold, same location — on random and
+// tie-heavy inputs.
+TEST(MocheTest, FrameSweepOutcomesAreBitIdenticalToRunSorted) {
+  Rng rng(314159);
+  Moche engine;
+  int explained = 0;
+  for (int rep = 0; rep < 200; ++rep) {
+    const size_t n = static_cast<size_t>(rng.Integer(1, 60));
+    const size_t m = static_cast<size_t>(rng.Integer(2, 60));
+    std::vector<double> r(n);
+    std::vector<double> t(m);
+    const bool tie_heavy = rep % 2 == 0;
+    for (double& v : r) {
+      v = tie_heavy ? static_cast<double>(rng.Integer(0, 5)) : rng.Normal();
+    }
+    for (double& v : t) {
+      v = tie_heavy ? static_cast<double>(rng.Integer(0, 7))
+                    : rng.Normal(0.8, 1.1);
+    }
+    const double alpha = 0.5;
+    auto report =
+        engine.Explain(r, t, alpha, RandomPreference(t.size(), &rng));
+    // Tiny samples can pass outright or admit no explanation at all.
+    if (report.status().IsAlreadyPasses() || report.status().IsNotFound()) {
+      continue;
+    }
+    ASSERT_TRUE(report.ok()) << "rep=" << rep;
+    ++explained;
+
+    std::sort(r.begin(), r.end());
+    std::vector<double> remaining;
+    std::vector<bool> removed(t.size(), false);
+    for (size_t idx : report->explanation.indices) removed[idx] = true;
+    for (size_t i = 0; i < t.size(); ++i) {
+      if (!removed[i]) remaining.push_back(t[i]);
+    }
+    std::sort(t.begin(), t.end());
+    std::sort(remaining.begin(), remaining.end());
+    auto original = ks::RunSorted(r, t, alpha);
+    auto after = ks::RunSorted(r, remaining, alpha);
+    ASSERT_TRUE(original.ok());
+    ASSERT_TRUE(after.ok());
+    SCOPED_TRACE(rep);
+    ExpectSameOutcome(report->original, *original);
+    ExpectSameOutcome(report->after, *after);
+  }
+  EXPECT_GE(explained, 50);
+}
+
+// The only 0 in T is not in R, so removing it leaves a frame point that
+// neither R nor T \ I holds, and R vs T \ I has D = 0: the after outcome
+// must still report ks::RunSorted's location, R's smallest value 1 (not
+// the frame's smallest value 0).
+TEST(MocheTest, AfterOutcomeOverAFullyRemovedTestOnlyValue) {
+  const std::vector<double> r{1, 2};
+  const std::vector<double> t{0, 1, 2};
+  auto report = Moche().Explain(r, t, 1.99, IdentityPreference(t.size()));
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->k, 1u);
+  EXPECT_EQ(report->explanation.indices, (std::vector<size_t>{0}));
+  auto want = ks::RunSorted(r, {1, 2}, 1.99);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(want->statistic, 0.0);
+  EXPECT_EQ(want->location, 1.0);
+  ExpectSameOutcome(report->after, *want);
 }
 
 TEST(MocheTest, FindExplanationSizeOnly) {

@@ -238,45 +238,6 @@ TEST(KolmogorovQTest, KnownValuesAndMonotonicity) {
   EXPECT_GT(ks::KolmogorovQ(0.5), ks::KolmogorovQ(1.0));
 }
 
-// The scratch-based SIMD sweep is the same function as StatisticSorted —
-// same D bits, same location — on random, tie-heavy, and degenerate
-// inputs. This is the unit-level leg of the bit-identity gate (the corpus
-// dump is the end-to-end leg).
-TEST(StatisticTest, ScratchSweepIsBitIdenticalToStatisticSorted) {
-  Rng rng(314159);
-  ks::KsSweepScratch scratch;
-  for (int rep = 0; rep < 200; ++rep) {
-    const size_t n = static_cast<size_t>(rng.Integer(1, 60));
-    const size_t m = static_cast<size_t>(rng.Integer(1, 60));
-    std::vector<double> r(n);
-    std::vector<double> t(m);
-    const bool tie_heavy = rep % 2 == 0;
-    for (double& v : r) {
-      v = tie_heavy ? static_cast<double>(rng.Integer(0, 5)) : rng.Normal();
-    }
-    for (double& v : t) {
-      v = tie_heavy ? static_cast<double>(rng.Integer(0, 5))
-                    : rng.Normal(0.3, 1.1);
-    }
-    std::sort(r.begin(), r.end());
-    std::sort(t.begin(), t.end());
-    double loc_plain = -1.0;
-    double loc_scratch = -2.0;
-    const double d_plain = ks::StatisticSorted(r, t, &loc_plain);
-    const double d_scratch =
-        ks::StatisticSortedScratch(r, t, &scratch, &loc_scratch);
-    ASSERT_EQ(d_plain, d_scratch) << "rep=" << rep;
-    ASSERT_EQ(loc_plain, loc_scratch) << "rep=" << rep;
-  }
-  // Identical samples: D == 0, location = front value (sentinel path).
-  const std::vector<double> same{-0.0, 1.0, 2.0};
-  double loc = 99.0;
-  EXPECT_EQ(ks::StatisticSortedScratch(same, same, &scratch, &loc), 0.0);
-  double loc_plain = 98.0;
-  EXPECT_EQ(ks::StatisticSorted(same, same, &loc_plain), 0.0);
-  EXPECT_EQ(loc, loc_plain);
-}
-
 // Goldens for the small-lambda theta-dual expansion (values from the
 // standard Kolmogorov distribution tables, Q(c) = 1 - K(c)); the
 // alternating series alone loses all precision below c ~ 0.5, where it

@@ -94,6 +94,24 @@ TEST(RemovalKsTest, RemovingAllOfTestSetIsWellDefined) {
   EXPECT_DOUBLE_EQ(removal.CurrentOutcome().statistic, direct->statistic);
 }
 
+// With D = 0 the outcome's location is R's smallest value, as in
+// StatisticSorted — not the union grid's smallest value, which here is
+// the removed T-only 0.
+TEST(RemovalKsTest, ZeroStatisticLocationIsSmallestReferenceValue) {
+  const std::vector<double> r{1, 2};
+  RemovalKs removal(r, {0, 1, 2}, 0.05);
+  ASSERT_TRUE(removal.RemoveValue(0).ok());
+  auto want = ks::RunSorted(r, {1, 2}, 0.05);
+  ASSERT_TRUE(want.ok());
+  const KsOutcome current = removal.CurrentOutcome();
+  EXPECT_EQ(current.statistic, 0.0);
+  EXPECT_EQ(current.statistic, want->statistic);
+  EXPECT_EQ(current.threshold, want->threshold);
+  EXPECT_EQ(current.reject, want->reject);
+  EXPECT_EQ(current.location, 1.0);
+  EXPECT_EQ(current.location, want->location);
+}
+
 TEST(RemovalKsTest, UnremoveRestores) {
   const std::vector<double> r{1, 2, 3};
   const std::vector<double> t{1, 5, 5};
