@@ -6,7 +6,14 @@
 // regenerates this dump before and after the change and diffs the two
 // files byte-for-byte (docs/BENCHMARKS.md).
 //
-// Usage: bench_corpus_dump [--out FILE] [--instances N]
+// Usage: bench_corpus_dump [--out FILE] [--instances N] [--answers-only]
+//
+// --answers-only drops the work counters (probe=, full=, steps=): where
+// SizeScan's O(1) probe and Theorem 3's recursion stop depends on how the
+// cumulative frame is laid out, not on the answer. Every other field — k,
+// k_hat, the Theorem 1/2 check counts, the candidate count, both KS
+// outcomes and I — is kept, so a layout change is gated on the
+// answers-only dump staying byte-identical.
 //
 // The corpus is a deterministic grid over instance size, contamination and
 // seed (Kifer-style synthetic drift, the paper's Section 6.4 workload) with
@@ -34,13 +41,20 @@ struct Config {
   MocheOptions options;
 };
 
-void DumpReport(std::FILE* f, const char* config, const MocheReport& r) {
-  std::fprintf(f, "  %s k=%zu k_hat=%zu t1=%zu t2=%zu probe=%zu full=%zu "
-                  "cand=%zu steps=%zu\n",
-               config, r.k, r.k_hat, r.size_stats.theorem1_checks,
-               r.size_stats.theorem2_checks, r.size_stats.probe_refutations,
-               r.size_stats.full_scans, r.build_stats.candidates_checked,
-               r.build_stats.recursion_steps);
+void DumpReport(std::FILE* f, const char* config, const MocheReport& r,
+                bool answers_only) {
+  std::fprintf(f, "  %s k=%zu k_hat=%zu t1=%zu t2=%zu", config, r.k,
+               r.k_hat, r.size_stats.theorem1_checks,
+               r.size_stats.theorem2_checks);
+  if (!answers_only) {
+    std::fprintf(f, " probe=%zu full=%zu", r.size_stats.probe_refutations,
+                 r.size_stats.full_scans);
+  }
+  std::fprintf(f, " cand=%zu", r.build_stats.candidates_checked);
+  if (!answers_only) {
+    std::fprintf(f, " steps=%zu", r.build_stats.recursion_steps);
+  }
+  std::fprintf(f, "\n");
   std::fprintf(f, "  %s D=%s p=%s loc=%s after_D=%s after_p=%s\n", config,
                FormatG17(r.original.statistic).c_str(),
                FormatG17(r.original.threshold).c_str(),
@@ -57,13 +71,17 @@ void DumpReport(std::FILE* f, const char* config, const MocheReport& r) {
 int main(int argc, char** argv) {
   std::string out_path = "corpus_dump.txt";
   size_t want = 399;
+  bool answers_only = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--instances") == 0 && i + 1 < argc) {
       want = static_cast<size_t>(std::atoll(argv[++i]));
+    } else if (std::strcmp(argv[i], "--answers-only") == 0) {
+      answers_only = true;
     } else {
-      std::fprintf(stderr, "usage: %s [--out FILE] [--instances N]\n",
+      std::fprintf(stderr,
+                   "usage: %s [--out FILE] [--instances N] [--answers-only]\n",
                    argv[0]);
       return 1;
     }
@@ -112,7 +130,7 @@ int main(int argc, char** argv) {
                            StatusCodeToString(report.status().code()));
               continue;
             }
-            DumpReport(f, config.name, *report);
+            DumpReport(f, config.name, *report, answers_only);
           }
           ++dumped;
         }

@@ -12,8 +12,9 @@
 //    ExplainPreparedInto call via the alloc_probe.h operator-new hooks;
 //    the zero-allocation pipeline keeps it at exactly 0,
 //  * a prepared explain shaped like one exact_fleet event in monitor_bench
-//    (n = 100000 reference, w = 1000 window, alpha = 0.001), where the
-//    O(n + m) work over the whole reference dominates the explanation.
+//    (w = 1000 window, alpha = 0.001) against references of n = 5000,
+//    100000 (the exact_fleet shape) and 1000000 values, which shows how
+//    an explanation's cost grows with n when n >> m.
 //
 // Usage: bench_micro_core [--quick]
 //
@@ -309,15 +310,14 @@ int main(int argc, char** argv) {
                           static_cast<double>(steady_allocs_ops),
                       "count", 1);
 
-  // One exact_fleet-shaped explanation: a large N(0,1) reference and a
-  // window whose last 15% is a transient spike. Unlike explain.prepared.wN
-  // (n = m), n >> m here, so this row tracks the per-explanation cost of
-  // walking the whole reference.
-  {
-    const size_t kRefSize = 100000;
+  // Exact_fleet-shaped explanations: an N(0,1) reference and a window
+  // whose last 15% is a transient spike. Unlike explain.prepared.wN
+  // (n = m), n >> m here: the n5000 / n100000 / n1000000 rows track how the
+  // per-explanation cost grows with the reference at a fixed w = 1000.
+  for (size_t ref_size : {size_t{5000}, size_t{100000}, size_t{1000000}}) {
     const size_t kWindow = 1000;
     Rng rng(2024);
-    std::vector<double> reference(kRefSize);
+    std::vector<double> reference(ref_size);
     for (double& v : reference) v = rng.Normal();
     std::vector<double> window(kWindow);
     for (size_t i = 0; i < kWindow; ++i) {
@@ -335,8 +335,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "explain.prepared.fleet: setup failed\n");
       return 1;
     }
-    // One call takes milliseconds, so many repetitions stay cheap and
-    // steady the median.
+    // One call takes at most milliseconds, so many repetitions stay cheap
+    // and steady the median.
     bench::RunnerOptions reps;
     reps.warmup = 3;
     reps.repetitions = quick ? 11 : 41;
@@ -350,10 +350,11 @@ int main(int argc, char** argv) {
         },
         reps);
     bench::AppendTiming(&results, kBench,
-                        "explain.prepared.fleet.n100000.w1000", stats, 1, 1.0,
-                        "s/op");
+                        "explain.prepared.fleet.n" + std::to_string(ref_size) +
+                            ".w" + std::to_string(kWindow),
+                        stats, 1, 1.0, "s/op");
     std::printf("  explain.prepared.fleet n=%zu w=%zu done (k=%zu)\n",
-                kRefSize, kWindow, report.k);
+                ref_size, kWindow, report.k);
   }
 
   // The batched triage entry point: many same-width windows against one

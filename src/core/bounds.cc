@@ -39,10 +39,14 @@ void BoundsEngine::Reset(const CumulativeFrame& frame, double alpha) {
   // Flatten the frame once: the Theorem 1/2 inner loops then stream
   // contiguous arrays (no per-element accessor calls, no repeated
   // int64 -> double conversions; all conversions are exact, counts are
-  // far below 2^53). resize keeps capacity, so a recycled engine's rebuild
-  // is allocation-free once warm.
+  // far below 2^53). The arrays reserve QBound() + 1 entries and resize
+  // keeps capacity, so a recycled engine's rebuild is allocation-free once
+  // warm, for any window of the same size.
   const size_t q = frame.q();
   const int64_t m = static_cast<int64_t>(frame.m());
+  ct_d_.reserve(frame.QBound() + 1);
+  cr_d_.reserve(frame.QBound() + 1);
+  rigid_d_.reserve(frame.QBound() + 1);
   ct_d_.resize(q + 1);
   cr_d_.resize(q + 1);
   rigid_d_.resize(q + 1);

@@ -21,7 +21,8 @@
 // identity gate pins this). SizeScan carries failure state across adjacent
 // candidate sizes so a size walk usually refutes a size in O(1) instead of
 // O(q); decisions are provably identical to the stateless checks (see the
-// class comment).
+// class comment). q is the frame's window-compressed base size, at most
+// 2m + 1 whatever n is (core/cumulative.h), so a full check is O(m).
 //
 // Ownership & thread-safety: a BoundsEngine borrows its CumulativeFrame
 // (the frame must outlive it) and is immutable after construction, so one
@@ -86,7 +87,7 @@ class BoundsEngine {
                          std::vector<int64_t>* upper) const;
 
   /// Theorem 1: true iff a qualified h-cumulative vector (equivalently a
-  /// qualified h-subset) exists. O(n + m) with early exit.
+  /// qualified h-subset) exists. O(q), q <= 2m + 1, with early exit.
   bool ExistsQualified(size_t h) const;
 
   /// On a false ExistsQualifiedWithFailure result: the first coordinate
@@ -119,7 +120,7 @@ class BoundsEngine {
 
   /// C_R[i] and C_T[i] for i in [0, q], as doubles: the flattened
   /// coefficient arrays. Moche sweeps these for its KS decisions, so one
-  /// explanation merges R u T only once.
+  /// explanation walks R and T only once.
   const double* cum_r_data() const { return cr_d_.data(); }
   const double* cum_t_data() const { return ct_d_.data(); }
 
@@ -161,7 +162,7 @@ class BoundsEngine {
 /// already proves l_{i*} > u_{i*} — an O(1) refutation. The bounds-conflict
 /// region moves slowly with h, so consecutive sizes usually fail at the
 /// same coordinates and the walk degenerates to O(1) per size; whenever the
-/// O(1) probe cannot refute, the full O(n+m) check runs and re-seeds the
+/// O(1) probe cannot refute, the full O(q) check runs and re-seeds the
 /// state. Every answer is bit-identical to BoundsEngine::ExistsQualified —
 /// the probe only short-circuits sizes whose failure it proves outright.
 ///
@@ -173,7 +174,7 @@ class SizeScan {
   /// Bit-identical to engine.ExistsQualified(h), in any call order.
   bool ExistsQualified(size_t h);
 
-  /// Sizes refuted by the O(1) probe vs full O(n+m) scans, for tests and
+  /// Sizes refuted by the O(1) probe vs full O(q) scans, for tests and
   /// the efficiency counters.
   size_t probe_refutations() const { return probe_refutations_; }
   size_t full_scans() const { return full_scans_; }

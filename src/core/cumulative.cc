@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "ks/ks_test.h"
+#include "ks/rank_walk.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -52,34 +53,22 @@ void CumulativeFrame::BuildFromSortedUncheckedInto(
 
   out->n_ = r_sorted.size();
   out->m_ = t_sorted.size();
-  // clear() keeps capacity; n + m bounds q, so a warm frame never
-  // reallocates mid-merge.
+  // clear() keeps capacity and QBound() bounds q, so a warm frame never
+  // reallocates mid-walk.
   out->values_.clear();
   out->cum_r_.clear();
   out->cum_t_.clear();
-  const size_t q_bound = r_sorted.size() + t_sorted.size();
-  out->values_.reserve(q_bound);
-  out->cum_r_.reserve(q_bound + 1);
-  out->cum_t_.reserve(q_bound + 1);
+  out->values_.reserve(out->QBound());
+  out->cum_r_.reserve(out->QBound() + 1);
+  out->cum_t_.reserve(out->QBound() + 1);
   out->cum_r_.push_back(0);
   out->cum_t_.push_back(0);
-
-  size_t i = 0;
-  size_t j = 0;
-  while (i < r_sorted.size() || j < t_sorted.size()) {
-    double x;
-    if (j >= t_sorted.size() ||
-        (i < r_sorted.size() && r_sorted[i] <= t_sorted[j])) {
-      x = r_sorted[i];
-    } else {
-      x = t_sorted[j];
-    }
-    while (i < r_sorted.size() && r_sorted[i] == x) ++i;
-    while (j < t_sorted.size() && t_sorted[j] == x) ++j;
-    out->values_.push_back(x);
-    out->cum_r_.push_back(static_cast<int64_t>(i));
-    out->cum_t_.push_back(static_cast<int64_t>(j));
-  }
+  ks::WalkRankFrame(r_sorted.data(), r_sorted.size(), t_sorted.data(),
+                    t_sorted.size(), [out](double x, size_t c_r, size_t c_t) {
+                      out->values_.push_back(x);
+                      out->cum_r_.push_back(static_cast<int64_t>(c_r));
+                      out->cum_t_.push_back(static_cast<int64_t>(c_t));
+                    });
 }
 
 Result<size_t> CumulativeFrame::IndexOfValue(double value) const {

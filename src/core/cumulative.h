@@ -1,10 +1,26 @@
-// Cumulative vectors (paper Definition 3).
+// Cumulative vectors (paper Definition 3), over a window-compressed base.
 //
-// The base vector V = <x_1, ..., x_q> holds the unique values of R u T in
-// ascending order. The cumulative vector of a multiset S <= T is the
-// (q+1)-vector C_S with C_S[0] = 0 and C_S[i] = |{x in S : x <= x_i}|.
-// A CumulativeFrame precomputes C_R and C_T once per instance; every MOCHE
-// phase works on top of it.
+// Definition 3's base vector holds the unique values of R u T in ascending
+// order; the cumulative vector of a multiset S <= T is the (q+1)-vector C_S
+// with C_S[0] = 0 and C_S[i] = |{x in S : x <= x_i}|. A CumulativeFrame
+// precomputes C_R and C_T once per instance; every MOCHE phase works on top
+// of it.
+//
+// The frame keeps only the base values that can bind (ks/rank_walk.h): each
+// distinct test value and the last reference value of each reference-only
+// run, so q <= 2 * distinct(T) + 1 whatever n is. Dropping the rest changes
+// no answer. Along a run of reference-only values C_T and every C_S
+// (S <= T) stay constant while C_R rises, so in Equation 4 Gamma(i,h)
+// falls along the run:
+//   * u_i is smallest at the run's last value, which is kept;
+//   * l_i is constant, because the prefix maximum M(i,h) is already set at
+//     the point before the run (a leading run has no such point, but its
+//     Gamma is negative, where l_i's 0 term dominates);
+//   * |C_R/n - C_S/|S|| peaks at one end of the run.
+// So Theorems 1-3 and both KS outcomes of an explanation read the same on
+// this frame as on the full merge; only the work counters (where SizeScan's
+// probes and Theorem 3's recursion stop) can differ. Building the frame
+// from sorted samples costs O(m log(n/m)) for m <= n.
 //
 // Indexing convention: this class mirrors the paper's 1-based indices —
 // CR(i)/CT(i) accept i in [0, q] with CR(0) = CT(0) = 0, and base value x_i
@@ -24,6 +40,8 @@
 
 namespace moche {
 
+struct CumulativeFrameTestPeer;
+
 class CumulativeFrame {
  public:
   /// An empty frame (q = n = m = 0), the state a reusable frame starts in;
@@ -31,7 +49,8 @@ class CumulativeFrame {
   /// built frame.
   CumulativeFrame() = default;
 
-  /// Builds the base vector and the cumulative vectors of R and T.
+  /// Builds the compressed base vector and the cumulative vectors of R and
+  /// T.
   /// Fails when either multiset is empty.
   static Result<CumulativeFrame> Build(const std::vector<double>& r,
                                        const std::vector<double>& t);
@@ -67,6 +86,12 @@ class CumulativeFrame {
   }
 
   size_t q() const { return values_.size(); }
+
+  /// 2m + 1: the largest q of a frame built for any window of this size.
+  /// Buffers indexed by base coordinate reserve QBound() + 1 entries, so a
+  /// warm workspace does not reallocate when a later same-sized window
+  /// yields more points.
+  size_t QBound() const { return 2 * m_ + 1; }
   size_t n() const { return n_; }
   size_t m() const { return m_; }
 
@@ -82,7 +107,9 @@ class CumulativeFrame {
   /// Multiplicity of x_i in T: C_T[i] - C_T[i-1], i in [1, q].
   int64_t CountT(size_t i) const { return cum_t_[i] - cum_t_[i - 1]; }
 
-  /// 1-based index of `value` in the base vector, or NotFound.
+  /// 1-based index of `value` in the base vector, or NotFound. Every test
+  /// value is in the base vector; a reference value the compression dropped
+  /// (one inside a reference-only run) is NotFound.
   Result<size_t> IndexOfValue(double value) const;
 
   /// The cumulative vector C_S (length q+1) of a multiset S (values must all
@@ -91,6 +118,10 @@ class CumulativeFrame {
       const std::vector<double>& subset) const;
 
  private:
+  // Lets a test oracle fill a frame with the full, uncompressed merge of
+  // R and T, to check that every decision reads the same on both.
+  friend struct CumulativeFrameTestPeer;
+
   size_t n_ = 0;
   size_t m_ = 0;
   std::vector<double> values_;   // x_1..x_q, ascending

@@ -32,10 +32,11 @@ Status ValidateAndSortReference(const std::vector<double>& reference,
 // The KS outcome of R against a test multiset of size m whose cumulative
 // counts on the engine's base vector are cum_t[1..q], swept against the
 // engine's C_R through the active SIMD kernel. Base values absent from both
-// R and that multiset only repeat the previous |F_R - F_T|, so the
-// first-strict-max location is the one ks::StatisticSorted finds on the
-// samples themselves. `front` is R's smallest value, StatisticSorted's
-// location when D = 0.
+// R and that multiset only repeat the previous |F_R - F_T|, and the
+// reference values the frame dropped sit inside runs along which it is
+// strictly monotone, so the first-strict-max location is the one
+// ks::StatisticSorted finds on the samples themselves. `front` is R's
+// smallest value, StatisticSorted's location when D = 0.
 KsOutcome SweepFrame(const BoundsEngine& engine, const double* cum_t,
                      size_t m, double front) {
   const CumulativeFrame& frame = engine.frame();
@@ -159,8 +160,8 @@ Status Moche::FindSizeSortedInto(const std::vector<double>& sorted_reference,
   MOCHE_RETURN_IF_ERROR(ks::ValidateSample(test, "test set"));
   SortInto(test.data(), test.size(), &ws.test_sorted_);
 
-  // The frame is the explanation's one merge of R and T; the KS decision
-  // sweeps the engine's flattened copy of its cumulative vectors.
+  // The frame is the explanation's one rank walk over R and T; the KS
+  // decision sweeps the engine's flattened copy of its cumulative vectors.
   CumulativeFrame::BuildFromSortedUncheckedInto(sorted_reference,
                                                 ws.test_sorted_, &ws.frame_);
   ws.engine_.Reset(ws.frame_, alpha);
@@ -204,7 +205,7 @@ Status Moche::ExplainSortedInto(const std::vector<double>& sorted_reference,
 
   // R vs T \ I on the same frame: C_{T \ I} = C_T - C_I, with C_I
   // prefix-summed from the base-vector index the builder recorded for each
-  // test point. No copy of T \ I, no sort, no second merge.
+  // test point. No copy of T \ I, no sort, no second walk.
   const size_t m_after = test.size() - report->explanation.size();
   if (m_after == 0) {
     return Status::Internal("explanation removed the whole test set");
@@ -212,6 +213,7 @@ Status Moche::ExplainSortedInto(const std::vector<double>& sorted_reference,
   const size_t q = ws.frame_.q();
   const double* cum_t = ws.engine_.cum_t_data();
   std::vector<double>& cum_after = ws.cum_after_;
+  cum_after.reserve(ws.frame_.QBound() + 1);
   cum_after.assign(q + 1, 0.0);
   for (size_t idx : report->explanation.indices) {
     cum_after[ws.build_.value_index[idx]] += 1.0;

@@ -18,6 +18,10 @@ Status PartialExplanationChecker::Reset(const BoundsEngine& engine,
   scratch_valid_ = false;
   scratch_lo_ = 0;
   scratch_v_ = 0;
+  // Sized for any window of this size, so a warm checker never reallocates.
+  for (std::vector<int64_t>* v : {&lk_, &uk_, &counts_, &scratch_, &ubar_}) {
+    v->reserve(frame_->QBound() + 1);
+  }
   engine.ComputeBoundsInto(k, &lk_, &uk_);
   const size_t q = frame_->q();
   counts_.assign(q + 1, 0);

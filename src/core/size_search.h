@@ -2,8 +2,9 @@
 //
 // Theorem 2's necessary condition is monotone in h, so the smallest h
 // satisfying it — a lower bound k_hat <= k — is found by binary search in
-// O((n+m) log m). A walk with the exact Theorem 1 check from k_hat upward
-// then yields k; the walk runs through SizeScan (core/bounds.h), which
+// O(q log m), where q <= 2m + 1 is the frame's window-compressed base size
+// (core/cumulative.h). A walk with the exact Theorem 1 check from k_hat
+// upward then yields k; the walk runs through SizeScan (core/bounds.h), which
 // carries failure state across adjacent sizes and refutes most failing
 // sizes in O(1) with answers bit-identical to the stateless check.
 // Disabling the lower bound (scanning from h = 1) reproduces the paper's
@@ -30,9 +31,9 @@ struct SizeSearchResult {
   size_t k = 0;               ///< the explanation size
   size_t k_hat = 0;           ///< lower bound from Theorem 2 (== scan start)
   size_t theorem1_checks = 0; ///< number of candidate sizes Theorem 1 tested
-  size_t theorem2_checks = 0; ///< number of O(n+m) Theorem 2 evaluations
+  size_t theorem2_checks = 0; ///< number of O(q) Theorem 2 evaluations
   /// Of the theorem1_checks, how many SizeScan refuted with its O(1) probe
-  /// instead of a full O(n+m) pass (so full_scans + probe_refutations ==
+  /// instead of a full O(q) pass (so full_scans + probe_refutations ==
   /// theorem1_checks).
   size_t probe_refutations = 0;
   size_t full_scans = 0;

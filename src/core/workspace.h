@@ -2,10 +2,11 @@
 // explain pipeline.
 //
 // One MOCHE explanation needs a sorted copy of the test window, a
-// CumulativeFrame (the explanation's one merge of R and T), the
-// BoundsEngine's flattened coefficient arrays (which the KS decisions
-// sweep too), the phase-2 builder/checker buffers, and the C_T - C_I
-// vector of the final check. The one-shot entry points allocate all
+// CumulativeFrame (the explanation's one rank walk over R and T: at most
+// 2m + 1 points whatever n is), the BoundsEngine's flattened coefficient
+// arrays (which the KS decisions sweep too), the phase-2 builder/checker
+// buffers, and the C_T - C_I vector of the final check — all O(m). The
+// one-shot entry points allocate all
 // of that per call — fine for a single explanation, pure churn for the
 // paper's Section 6 workloads (and the stream monitor), which explain
 // thousands of windows against one prepared reference. An ExplainWorkspace
@@ -38,8 +39,9 @@ class ExplainWorkspace {
  public:
   ExplainWorkspace() = default;
 
-  // Scratch is cheap to move (pointers swap) but a silent deep copy of
-  // multi-megabyte arenas is never what a caller wants.
+  // Scratch is cheap to move (pointers swap) but a silent deep copy is
+  // never what a caller wants. Every buffer is O(m) except
+  // reference_sorted_, which only the raw-R entry points fill (O(n)).
   ExplainWorkspace(const ExplainWorkspace&) = delete;
   ExplainWorkspace& operator=(const ExplainWorkspace&) = delete;
   ExplainWorkspace(ExplainWorkspace&&) = default;

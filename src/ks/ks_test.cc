@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "ks/rank_walk.h"
 #include "util/logging.h"
 #include "util/simd.h"
 #include "util/string_util.h"
@@ -119,25 +120,19 @@ double StatisticSorted(const std::vector<double>& r_sorted,
   const double m = static_cast<double>(t_sorted.size());
   double best = 0.0;
   double best_x = r_sorted.front();
-  size_t i = 0;
-  size_t j = 0;
-  while (i < r_sorted.size() || j < t_sorted.size()) {
-    double x;
-    if (j >= t_sorted.size() ||
-        (i < r_sorted.size() && r_sorted[i] <= t_sorted[j])) {
-      x = r_sorted[i];
-    } else {
-      x = t_sorted[j];
-    }
-    while (i < r_sorted.size() && r_sorted[i] == x) ++i;
-    while (j < t_sorted.size() && t_sorted[j] == x) ++j;
-    const double d =
-        std::fabs(static_cast<double>(i) / n - static_cast<double>(j) / m);
-    if (d > best) {
-      best = d;
-      best_x = x;
-    }
-  }
+  // Only the rank frame's points can hold the first strict maximum: inside
+  // a reference-only run |F_R - F_T| stays strictly below its value at the
+  // point before the run or at the run's last value, and the walk emits
+  // both.
+  WalkRankFrame(r_sorted.data(), r_sorted.size(), t_sorted.data(),
+                t_sorted.size(), [&](double x, size_t c_r, size_t c_t) {
+                  const double d = std::fabs(static_cast<double>(c_r) / n -
+                                             static_cast<double>(c_t) / m);
+                  if (d > best) {
+                    best = d;
+                    best_x = x;
+                  }
+                });
   if (location != nullptr) *location = best_x;
   return best;
 }

@@ -91,7 +91,11 @@ KsOutcome DecideUnchecked(double statistic, size_t n, size_t m, double alpha);
 /// D(R,T) for samples that are already sorted ascending.
 /// Returns 1.0 if exactly one sample is empty; 0.0 if both are. `location`
 /// (when non-null) is always written: the maximizing x, or 0.0 when both
-/// samples are empty and no x exists.
+/// samples are empty and no x exists. The location is the first x, in
+/// ascending order, at which the maximum is reached — R's copy when x is in
+/// both samples — and R's smallest value when D = 0. The sweep visits only
+/// the rank frame (ks/rank_walk.h): O(m + d log(n/d)) for d distinct test
+/// values, so O(m log(n/m)) once n >= m.
 double StatisticSorted(const std::vector<double>& r_sorted,
                        const std::vector<double>& t_sorted,
                        double* location = nullptr);

@@ -5,7 +5,11 @@
 //    event performs no heap allocation at all;
 //  * a kExact stream costs O(w), not O(n): a cache-hit AddStream and a
 //    checkpoint restore make as many allocation calls over a 50k-value
-//    reference as over a 1k-value one.
+//    reference as over a 1k-value one;
+//  * an explanation's scratch is O(w), not O(n): a workspace that explained
+//    a window against a 50k-value reference retains under twice the bytes
+//    of one that explained it against a 1k-value reference, and a warm
+//    workspace's footprint depends only on the window size.
 //
 // testing_alloc.h defines the counting global operator new, so this file
 // must be this binary's only TU including it.
@@ -272,6 +276,69 @@ TEST(WorkspaceAllocTest, ExactRestoreAllocationsDoNotScaleWithReference) {
   const size_t large = RestoreAllocations(50000, kWindow);
   EXPECT_EQ(small, large)
       << "a kExact restore must rebuild detectors from the window alone";
+}
+
+// Heap bytes an ExplainWorkspace retains after one prepared explanation of
+// a failing `window`-point window (every value in the reference's upper
+// half) against an n-point reference.
+size_t ExplainFootprintBytes(size_t n, size_t window) {
+  const Moche engine;
+  auto prepared = engine.Prepare(GridReference(n), 0.05);
+  EXPECT_TRUE(prepared.ok());
+  std::vector<double> test;
+  for (size_t i = 0; i < window; ++i) {
+    test.push_back(0.5 + (static_cast<double>(i) + 0.5) /
+                             (2.0 * static_cast<double>(window)));
+  }
+  ExplainWorkspace workspace;
+  MocheReport report;
+  EXPECT_TRUE(engine
+                  .ExplainPreparedInto(*prepared, test,
+                                       IdentityPreference(window), &workspace,
+                                       &report)
+                  .ok());
+  return workspace.FootprintBytes();
+}
+
+TEST(WorkspaceAllocTest, ExplainWorkspaceFootprintDoesNotScaleWithReference) {
+  const size_t kWindow = 64;
+  const size_t small = ExplainFootprintBytes(1000, kWindow);
+  const size_t large = ExplainFootprintBytes(50000, kWindow);
+  EXPECT_LT(large, 2 * small)
+      << "an explanation's scratch must be sized by the window, not by the "
+         "reference (1k: "
+      << small << " bytes, 50k: " << large << " bytes)";
+}
+
+// A frame's size depends on the window's values (q <= 2m + 1), so a
+// workspace warmed on a window with few distinct values must already hold
+// room for any other window of that size.
+TEST(WorkspaceAllocTest, WarmWorkspaceFootprintDependsOnlyOnWindowSize) {
+  const size_t kWindow = 200;
+  const Moche engine;
+  auto prepared = engine.Prepare(GridReference(20000), 0.05);
+  ASSERT_TRUE(prepared.ok());
+  const PreferenceList pref = IdentityPreference(kWindow);
+  std::vector<double> clumped;
+  for (size_t i = 0; i < kWindow; ++i) {
+    clumped.push_back(0.6 + 0.1 * static_cast<double>(i % 4));
+  }
+  ExplainWorkspace workspace;
+  MocheReport report;
+  ASSERT_TRUE(engine
+                  .ExplainPreparedInto(*prepared, clumped, pref, &workspace,
+                                       &report)
+                  .ok());
+  const size_t warm = workspace.FootprintBytes();
+  Rng rng(77);
+  for (int w = 0; w < 8; ++w) {
+    const std::vector<double> spread = NormalSample(&rng, kWindow, 0.8, 0.1);
+    ASSERT_TRUE(engine
+                    .ExplainPreparedInto(*prepared, spread, pref, &workspace,
+                                         &report)
+                    .ok());
+    EXPECT_EQ(workspace.FootprintBytes(), warm) << "window " << w;
+  }
 }
 
 }  // namespace
