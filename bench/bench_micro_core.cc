@@ -1,6 +1,7 @@
 // Micro suite for the core primitives and the two ablations, on the shared
 // bench runner (bench/runner.h):
-//  * KS statistic (sorted-merge) and RemovalKs re-evaluation,
+//  * KS statistic (sorted-merge) and RemovalKs re-evaluation, the latter
+//    also with a w = 1000 window against n = 5000 and 100000 references,
 //  * Theorem 1 existence check and Theorem 2 condition,
 //  * phase 1 with/without the binary-searched lower bound (MOCHE vs
 //    MOCHE_ns), which also covers the SizeScan incremental size walk,
@@ -98,6 +99,23 @@ Workloads QuickWorkloads() {
   return w;
 }
 
+// One exact_fleet event's shape: an N(0,1) reference of `ref_size` values
+// and a w = 1000 window whose last 15% is a transient N(3, 0.5) spike,
+// tested at alpha = 0.001.
+constexpr size_t kFleetWindow = 1000;
+constexpr double kFleetAlpha = 0.001;
+
+void DrawFleetShape(size_t ref_size, Rng* rng, std::vector<double>* reference,
+                    std::vector<double>* window) {
+  reference->resize(ref_size);
+  for (double& v : *reference) v = rng->Normal();
+  window->resize(kFleetWindow);
+  for (size_t i = 0; i < kFleetWindow; ++i) {
+    (*window)[i] = i < kFleetWindow * 85 / 100 ? rng->Normal()
+                                               : rng->Normal(3.0, 0.5);
+  }
+}
+
 // Batch size for O(n + m) primitives: keeps one repetition around a few
 // milliseconds so the median is stable without dragging the suite out.
 size_t OpsFor(size_t w) { return std::max<size_t>(4, 400000 / w); }
@@ -179,6 +197,31 @@ int main(int argc, char** argv) {
                         "theorem2_condition.w" + std::to_string(w), stats, 1,
                         static_cast<double>(ops), "s/op");
     std::printf("  primitives w=%zu done\n", w);
+  }
+
+  // RemovalKs re-tests with n >> m: the baselines' and the brute-force
+  // oracle's inner loop against a large reference, in the fleet shape;
+  // ks_statistic is the control row.
+  for (size_t ref_size : {size_t{5000}, size_t{100000}}) {
+    Rng rng(2024);
+    std::vector<double> reference;
+    std::vector<double> window;
+    DrawFleetShape(ref_size, &rng, &reference, &window);
+    RemovalKs removal(reference, window, kFleetAlpha);
+    const size_t ops = OpsFor(kFleetWindow);
+    volatile double sink = 0.0;
+    auto stats = bench::Measure(
+        [&] {
+          for (size_t i = 0; i < ops; ++i) {
+            sink = removal.CurrentOutcome().statistic;
+          }
+        },
+        wl.reps);
+    bench::AppendTiming(&results, kBench,
+                        "removal_ks.reevaluate.n" + std::to_string(ref_size) +
+                            ".w" + std::to_string(kFleetWindow),
+                        stats, 1, static_cast<double>(ops), "s/op");
+    std::printf("  removal_ks n=%zu w=%zu done\n", ref_size, kFleetWindow);
   }
 
   // Ablation: phase 1 with the Theorem 2 lower bound, and the MOCHE_ns
@@ -315,17 +358,13 @@ int main(int argc, char** argv) {
   // (n = m), n >> m here: the n5000 / n100000 / n1000000 rows track how the
   // per-explanation cost grows with the reference at a fixed w = 1000.
   for (size_t ref_size : {size_t{5000}, size_t{100000}, size_t{1000000}}) {
-    const size_t kWindow = 1000;
     Rng rng(2024);
-    std::vector<double> reference(ref_size);
-    for (double& v : reference) v = rng.Normal();
-    std::vector<double> window(kWindow);
-    for (size_t i = 0; i < kWindow; ++i) {
-      window[i] = i < kWindow * 85 / 100 ? rng.Normal() : rng.Normal(3.0, 0.5);
-    }
-    const PreferenceList pref = RandomPreference(kWindow, &rng);
+    std::vector<double> reference;
+    std::vector<double> window;
+    DrawFleetShape(ref_size, &rng, &reference, &window);
+    const PreferenceList pref = RandomPreference(kFleetWindow, &rng);
     Moche engine;
-    auto prepared = engine.Prepare(reference, 0.001);
+    auto prepared = engine.Prepare(reference, kFleetAlpha);
     ExplainWorkspace workspace;
     MocheReport report;
     if (!prepared.ok() || !engine
@@ -351,10 +390,10 @@ int main(int argc, char** argv) {
         reps);
     bench::AppendTiming(&results, kBench,
                         "explain.prepared.fleet.n" + std::to_string(ref_size) +
-                            ".w" + std::to_string(kWindow),
+                            ".w" + std::to_string(kFleetWindow),
                         stats, 1, 1.0, "s/op");
     std::printf("  explain.prepared.fleet n=%zu w=%zu done (k=%zu)\n",
-                ref_size, kWindow, report.k);
+                ref_size, kFleetWindow, report.k);
   }
 
   // The batched triage entry point: many same-width windows against one

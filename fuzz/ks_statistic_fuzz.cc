@@ -1,5 +1,5 @@
-// Differential oracle: ks::Statistic / StatisticSorted against a naive
-// double-loop ECDF reference.
+// Differential oracle: ks::Statistic / StatisticSorted and RemovalKs's
+// re-tests against a naive double-loop ECDF reference.
 //
 // The reference recomputes D(R,T) the textbook way — for every grid value
 // x, count r <= x and t <= x with two linear scans and take
@@ -113,8 +113,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                    sorted_loc, naive_loc);
 
   // The full three-step test: reject must be exactly D > threshold.
+  double alpha = 0.05;
   if (!r.empty() && !t.empty()) {
-    const double alpha = in.Alpha();
+    alpha = in.Alpha();
     auto run = moche::ks::Run(r, t, alpha);
     MOCHE_FUZZ_CHECK(run.ok(), "ks::Run rejected a valid instance: %s",
                      run.status().message().c_str());
@@ -126,6 +127,73 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                      run->statistic, run->threshold);
     MOCHE_FUZZ_CHECK(run->n == r.size() && run->m == t.size(),
                      "outcome sizes n=%zu m=%zu mismatch", run->n, run->m);
+  }
+
+  // RemovalKs over a removal schedule drawn after everything above (so
+  // existing seeds decode to the same R and T): after every step its
+  // outcome must match the textbook scan of R against the remaining test
+  // multiset, which is tracked here independently of the class.
+  if (!r.empty()) {
+    moche::RemovalKs removal(r, t, alpha);
+    std::vector<double> remaining = t;
+    std::vector<double> removed;
+    const size_t steps = in.SizeInRange(0, 64);
+    for (size_t step = 0; step < steps; ++step) {
+      const uint8_t op = in.Byte();
+      if (op % 8 == 0) {
+        removal.Reset();
+        remaining = t;
+        removed.clear();
+      } else {
+        // Mostly T values; op % 8 == 1 picks an R value, which T may not
+        // hold.
+        const std::vector<double>& source = op % 8 == 1 || t.empty() ? r : t;
+        const double value = source[in.SizeInRange(0, source.size() - 1)];
+        const bool remove = op % 8 < 6;
+        std::vector<double>& from = remove ? remaining : removed;
+        std::vector<double>& to = remove ? removed : remaining;
+        const auto it = std::find(from.begin(), from.end(), value);
+        const bool ok = remove ? removal.RemoveValue(value).ok()
+                               : removal.UnremoveValue(value).ok();
+        MOCHE_FUZZ_CHECK(ok == (it != from.end()),
+                         "RemovalKs %s(%.17g) returned ok=%d",
+                         remove ? "RemoveValue" : "UnremoveValue", value, ok);
+        if (ok) {
+          to.push_back(*it);
+          from.erase(it);
+        }
+      }
+      const std::vector<double> rest = removal.RemainingTest();
+      std::vector<double> want_rest = remaining;
+      std::sort(want_rest.begin(), want_rest.end());
+      MOCHE_FUZZ_CHECK(rest == want_rest,
+                       "RemovalKs RemainingTest differs from T \\ S "
+                       "(%zu vs %zu values)",
+                       rest.size(), want_rest.size());
+      double want_loc = 0.0;
+      const double want = NaiveStatistic(r, rest, &want_loc);
+      const moche::KsOutcome got = removal.CurrentOutcome();
+      MOCHE_FUZZ_CHECK(SameBits(got.statistic, want),
+                       "RemovalKs D %.17g != naive %.17g (step %zu)",
+                       got.statistic, want, step);
+      MOCHE_FUZZ_CHECK(got.location == want_loc,
+                       "RemovalKs location %.17g != naive %.17g",
+                       got.location, want_loc);
+      MOCHE_FUZZ_CHECK(got.n == r.size() && got.m == rest.size(),
+                       "RemovalKs sizes n=%zu m=%zu mismatch", got.n, got.m);
+      if (rest.empty()) {
+        MOCHE_FUZZ_CHECK(got.reject && got.threshold == 0.0,
+                         "RemovalKs with T fully removed must reject");
+      } else {
+        const auto threshold =
+            moche::ks::Threshold(alpha, r.size(), rest.size());
+        MOCHE_FUZZ_CHECK(
+            threshold.ok() && SameBits(got.threshold, *threshold),
+            "RemovalKs threshold %.17g is not ks::Threshold", got.threshold);
+        MOCHE_FUZZ_CHECK(got.reject == (got.statistic > got.threshold),
+                         "RemovalKs reject disagrees with D > p");
+      }
+    }
   }
   return 0;
 }

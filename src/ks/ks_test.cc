@@ -196,21 +196,6 @@ Result<KsOutcome> Run(std::vector<double> r, std::vector<double> t,
 
 }  // namespace ks
 
-namespace {
-
-// The smallest reference value on a union grid: StatisticSorted's location
-// when no grid value separates the samples (D = 0) or T is empty. 0.0 only
-// if the grid holds no reference value (R empty, a precondition violation).
-double SmallestReferenceValue(const std::vector<double>& values,
-                              const std::vector<int64_t>& count_r) {
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (count_r[i] > 0) return values[i];
-  }
-  return 0.0;
-}
-
-}  // namespace
-
 RemovalKs::RemovalKs(const std::vector<double>& r,
                      const std::vector<double>& t, double alpha)
     : alpha_(alpha), n_(r.size()), m_(t.size()) {
@@ -222,46 +207,25 @@ RemovalKs::RemovalKs(const std::vector<double>& r,
   std::sort(rs.begin(), rs.end());
   // moche-lint: allow(sort-doubles): documented precondition — callers validate via ks::ValidateSample
   std::sort(ts.begin(), ts.end());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < rs.size() || j < ts.size()) {
-    double x;
-    if (j >= ts.size() || (i < rs.size() && rs[i] <= ts[j])) {
-      x = rs[i];
-    } else {
-      x = ts[j];
-    }
-    int64_t cr = 0;
-    int64_t ct = 0;
-    while (i < rs.size() && rs[i] == x) {
-      ++i;
-      ++cr;
-    }
-    while (j < ts.size() && ts[j] == x) {
-      ++j;
-      ++ct;
-    }
-    values_.push_back(x);
-    count_r_.push_back(cr);
-    count_t_.push_back(ct);
-  }
+  front_ = rs.empty() ? 0.0 : rs.front();
+  // C_R never changes, so it is stored as double (exact — counts are far
+  // below 2^53) and every CurrentOutcome streams it straight into the SIMD
+  // sweep.
+  size_t prev_c_t = 0;
+  ks::WalkRankFrame(rs.data(), rs.size(), ts.data(), ts.size(),
+                    [&](double x, size_t c_r, size_t c_t) {
+                      values_.push_back(x);
+                      cum_r_d_.push_back(static_cast<double>(c_r));
+                      count_t_.push_back(static_cast<int64_t>(c_t - prev_c_t));
+                      prev_c_t = c_t;
+                    });
   removed_.assign(values_.size(), 0);
-  // The reference side never changes, so its cumulative counts are
-  // precomputed once, already converted to double (exactly — counts are far
-  // below 2^53), and every CurrentOutcome streams them straight into the
-  // SIMD sweep.
-  cum_r_d_.resize(values_.size());
-  int64_t cum_r = 0;
-  for (size_t k = 0; k < values_.size(); ++k) {
-    cum_r += count_r_[k];
-    cum_r_d_[k] = static_cast<double>(cum_r);
-  }
 }
 
 Status RemovalKs::RemoveValue(double value) {
   const auto it = std::lower_bound(values_.begin(), values_.end(), value);
   if (it == values_.end() || *it != value) {
-    return Status::InvalidArgument("value not present in the union grid");
+    return Status::InvalidArgument("value does not occur in the test set");
   }
   const size_t idx = static_cast<size_t>(it - values_.begin());
   if (removed_[idx] >= count_t_[idx]) {
@@ -276,7 +240,7 @@ Status RemovalKs::RemoveValue(double value) {
 Status RemovalKs::UnremoveValue(double value) {
   const auto it = std::lower_bound(values_.begin(), values_.end(), value);
   if (it == values_.end() || *it != value) {
-    return Status::InvalidArgument("value not present in the union grid");
+    return Status::InvalidArgument("value does not occur in the test set");
   }
   const size_t idx = static_cast<size_t>(it - values_.begin());
   if (removed_[idx] == 0) {
@@ -305,7 +269,7 @@ KsOutcome RemovalKs::CurrentOutcome() const {
     out.statistic = 1.0;
     out.threshold = 0.0;
     out.reject = true;
-    out.location = SmallestReferenceValue(values_, count_r_);
+    out.location = front_;
     return out;
   }
   const double n = static_cast<double>(n_);
@@ -314,15 +278,13 @@ KsOutcome RemovalKs::CurrentOutcome() const {
   // cumulative counts exactly as the scalar loop did — bit-identical, with
   // the same first-strict-max location semantics (best_index is left alone
   // when every |F_R - F_T| is zero; StatisticSorted then reports R's
-  // smallest value, which need not be the grid's smallest).
+  // smallest value, which need not be the frame's smallest).
   size_t best_index = SIZE_MAX;
   const double best = simd::ActiveKernels().ecdf_sweep_counts(
       cum_r_d_.data(), count_t_.data(), removed_.data(), values_.size(), n,
       m_rem, &best_index);
   out = ks::internal::DecideUnchecked(best, n_, m_ - removed_total_, alpha_);
-  out.location = best_index == SIZE_MAX
-                     ? SmallestReferenceValue(values_, count_r_)
-                     : values_[best_index];
+  out.location = best_index == SIZE_MAX ? front_ : values_[best_index];
   return out;
 }
 

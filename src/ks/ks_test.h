@@ -6,8 +6,8 @@
 //   p = c_alpha * sqrt((n+m)/(n*m)),  c_alpha = sqrt(-ln(alpha/2)/2).
 //
 // Ownership & thread-safety: the free functions are pure and thread-safe;
-// RemovalKs owns its union grid and is mutable per-caller scratch (not
-// thread-safe — each worker builds its own).
+// RemovalKs owns its rank-frame arrays and is mutable per-caller scratch
+// (not thread-safe — each worker builds its own).
 //
 // NaN/empty-sample conventions (shared with the rest of the tree, see
 // docs/ARCHITECTURE.md): the Status-returning entry points reject empty
@@ -120,13 +120,23 @@ Result<KsOutcome> RunSorted(const std::vector<double>& r_sorted,
 
 /// Re-tests R against T \ S for evolving removal sets S without re-sorting.
 ///
-/// Construction is O((n+m) log(n+m)); each RemoveValue and each
-/// CurrentOutcome is O(q) or better, where q is the number of unique values
-/// in R u T. This is the workhorse of the greedy-style baselines, which
-/// repeatedly grow a removal set and re-run the test.
+/// The test runs over the rank frame of R and T (ks/rank_walk.h), not over
+/// R u T: q <= 2 * distinct(T) + 1 points, each with its C_R and its count
+/// of T copies. Removals only lower C_T at window values, so C_T stays
+/// constant along every reference-only run and the frame keeps every point
+/// at which |F_R - F_T| can first reach its maximum. Statistic, threshold
+/// and reject are bit-identical to ks::RunSorted(R, T \ S), and the
+/// location is the same value (a -0.0/+0.0 tie may carry either sign).
+///
+/// Construction is O(n log n + m log m) (the sorts; the walk itself is
+/// O(m log(n/m)) once n >= m). Each RemoveValue / UnremoveValue is O(log q),
+/// each CurrentOutcome O(q) with q <= 2m + 1, independent of n. Retained
+/// memory is O(m). This is the workhorse of the greedy-style baselines and
+/// the brute-force oracle, which repeatedly grow a removal set and re-run
+/// the test.
 class RemovalKs {
  public:
-  /// Builds the union grid from (unsorted) samples. R must be non-empty and
+  /// Builds the rank frame from (unsorted) samples. R must be non-empty and
   /// alpha must satisfy ks::ValidateAlpha — validate before constructing
   /// (the greedy baselines do); violations are caught by MOCHE_DCHECK in
   /// debug builds only.
@@ -171,10 +181,10 @@ class RemovalKs {
   double alpha_;
   size_t n_ = 0;
   size_t m_ = 0;
-  std::vector<double> values_;       // unique values of R u T, ascending
-  std::vector<int64_t> count_r_;     // multiplicity of values_[i] in R
+  double front_ = 0.0;               // R's smallest value
+  std::vector<double> values_;       // rank-frame values, ascending
+  std::vector<double> cum_r_d_;      // C_R at values_[i], as double
   std::vector<int64_t> count_t_;     // multiplicity of values_[i] in T
-  std::vector<double> cum_r_d_;      // prefix sums of count_r_, as double
   std::vector<int64_t> removed_;     // multiplicity removed from T
   size_t removed_total_ = 0;
 };

@@ -100,13 +100,16 @@ struct Kernels {
   double (*ecdf_sweep_cum)(const double* cum_r, const double* cum_t,
                            size_t q, double n, double m, size_t* best_index);
 
-  /// The RemovalKs sweep: cum_r is prefix-summed up front (doubles), the
-  /// test side is prefix-summed in the kernel from per-value counts:
+  /// The RemovalKs sweep over its q <= 2m + 1 rank-frame points: cum_r is
+  /// C_R per point (doubles), the test side is prefix-summed in the kernel
+  /// from per-point counts:
   ///   cum_t_i = sum_{j<=i} (count_t[j] - removed[j])
   ///   d_i     = |cum_r_d[i] / n - double(cum_t_i) / m_rem|
   /// Same return/tie-break contract as ecdf_sweep_cum. Counts must stay
   /// below 2^52 (any real sample is; the int64 -> double conversion is
-  /// exact there).
+  /// exact there). The prefix sum stays fused: a separate prefix pass
+  /// feeding ecdf_sweep_cum measured slower per re-test, because here the
+  /// sum hides behind the sweep's divisions.
   double (*ecdf_sweep_counts)(const double* cum_r_d, const int64_t* count_t,
                               const int64_t* removed, size_t q, double n,
                               double m_rem, size_t* best_index);
