@@ -7,7 +7,6 @@
 #include <cstring>
 #include <fstream>
 
-#include "util/simd.h"
 #include "util/stats.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -206,8 +205,8 @@ class JsonReader {
   /// seven original schema keys must be present exactly once; unknown keys
   /// are errors — a truncated or hand-edited record must never parse into
   /// a plausible-looking default (0.0 would read as an infinite speedup).
-  /// "isa" alone is optional (pre-SIMD files lack it) and defaults to
-  /// "unknown".
+  /// "isa" alone is optional: older files carry it, and it is read and
+  /// discarded.
   Result<BenchResult> ParseRecord() {
     if (!Consume('{')) {
       return Status::InvalidArgument("expected '{'");
@@ -269,20 +268,19 @@ class JsonReader {
         MOCHE_ASSIGN_OR_RETURN(r.samples, ParseCount("samples"));
       } else if (key == "isa") {
         MOCHE_RETURN_IF_ERROR(claim(kIsa));
-        MOCHE_ASSIGN_OR_RETURN(r.isa, ParseString());
+        MOCHE_RETURN_IF_ERROR(ParseString().status());
       } else {
         return Status::InvalidArgument(
             StrFormat("unknown key '%s'", key.c_str()));
       }
     }
     for (int k = 0; k < kKeyCount; ++k) {
-      if (k == kIsa) continue;  // optional: pre-SIMD files lack it
+      if (k == kIsa) continue;  // optional: only older files carry it
       if (!seen[k]) {
         return Status::InvalidArgument(
             StrFormat("record is missing '%s'", kKeyNames[k]));
       }
     }
-    if (!seen[kIsa]) r.isa = "unknown";
     MOCHE_RETURN_IF_ERROR(ValidateBenchResult(r));
     return r;
   }
@@ -334,10 +332,9 @@ std::string ToJson(const BenchResult& result) {
   AppendG17(result.value, &out);
   out += ", \"unit\": \"";
   AppendEscaped(result.unit, &out);
-  out += StrFormat("\", \"threads\": %zu, \"samples\": %zu, \"isa\": \"",
-                   result.threads, result.samples);
-  AppendEscaped(result.isa, &out);
-  out += "\", \"commit\": \"";
+  out += StrFormat(
+      "\", \"threads\": %zu, \"samples\": %zu, \"commit\": \"",
+      result.threads, result.samples);
   AppendEscaped(result.commit, &out);
   out += "\"}";
   return out;
@@ -396,10 +393,8 @@ Status WriteBenchJson(const std::string& name,
   }
   const char* commit = EnvOr("MOCHE_BENCH_COMMIT", EnvOr("GITHUB_SHA",
                                                          "unknown"));
-  const char* isa = simd::ActiveIsaName();
   for (BenchResult& r : results) {
     if (r.commit.empty()) r.commit = commit;
-    if (r.isa.empty()) r.isa = isa;
     MOCHE_RETURN_IF_ERROR(ValidateBenchResult(r));
   }
   if (out_dir.empty()) out_dir = EnvOr("MOCHE_BENCH_OUT_DIR", ".");

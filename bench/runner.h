@@ -6,12 +6,8 @@
 // median/p10/p90 over the measured repetitions), collects BenchResult
 // records, and hands them to WriteBenchJson, which schema-validates every
 // record and writes `BENCH_<name>.json` — a JSON array of flat objects
-//   {"bench", "metric", "value", "unit", "threads", "samples", "isa",
-//    "commit"}
-// — next to the binary (or into MOCHE_BENCH_OUT_DIR). "isa" records which
-// SIMD kernel table (util/simd.h) the process dispatched — comparing an
-// avx2 run against a scalar run is measuring the dispatch, not a
-// regression. CI uploads these files as artifacts; docs/BENCHMARKS.md
+//   {"bench", "metric", "value", "unit", "threads", "samples", "commit"}
+// — next to the binary (or into MOCHE_BENCH_OUT_DIR). CI uploads these files as artifacts; docs/BENCHMARKS.md
 // documents the schema and how to compare a before/after pair.
 //
 // Ownership & thread-safety: everything here is value-typed and stateless;
@@ -41,9 +37,8 @@ namespace bench {
 /// lowercase path, e.g. "theorem1_check.w10000.median"); `unit` is the
 /// value's unit ("s", "ns", "obs/s", "x", ...); `threads` the worker count
 /// the measurement ran with; `samples` how many measured repetitions (or
-/// runs) back the value; `isa` the dispatched SIMD kernel table
-/// (simd::ActiveIsaName()) and `commit` the source revision, both
-/// auto-filled by WriteBenchJson when left empty.
+/// runs) back the value; `commit` the source revision, auto-filled by
+/// WriteBenchJson when left empty.
 struct BenchResult {
   std::string bench;
   std::string metric;
@@ -51,7 +46,6 @@ struct BenchResult {
   std::string unit;
   size_t threads = 1;
   size_t samples = 1;
-  std::string isa;
   std::string commit;
 };
 
@@ -67,8 +61,9 @@ std::string ToJson(const BenchResult& result);
 /// InvalidArgument on malformed JSON, an unknown or missing key (the seven
 /// original schema keys are required — a truncated record must not parse
 /// into plausible defaults), or a schema-invalid record (the golden-schema
-/// test exercises these paths). "isa" is optional so pre-SIMD BENCH files
-/// keep parsing: a record without it reads back as isa == "unknown".
+/// test exercises these paths). An "isa" key, which older BENCH files
+/// carry, is accepted at most once and discarded, so those files keep
+/// parsing.
 /// Hostile-input hardening (BENCH files arrive from artifact stores and
 /// hand edits): documents over an 8 MiB byte budget, nested containers
 /// (the schema is one array of flat records), duplicate keys, and

@@ -33,7 +33,7 @@ bool SameBits(double a, double b) {
 bool SameRecord(const BenchResult& a, const BenchResult& b) {
   return a.bench == b.bench && a.metric == b.metric &&
          SameBits(a.value, b.value) && a.unit == b.unit &&
-         a.threads == b.threads && a.samples == b.samples && a.isa == b.isa &&
+         a.threads == b.threads && a.samples == b.samples &&
          a.commit == b.commit;
 }
 
@@ -49,7 +49,6 @@ BenchResult DeriveRecord(moche::fuzz::Provider* in) {
       in->IntInRange(1, int64_t{1} << (in->Bool() ? 6 : 53)));
   r.samples = static_cast<size_t>(
       in->IntInRange(1, int64_t{1} << (in->Bool() ? 6 : 53)));
-  r.isa = in->Bool() ? "" : "i" + in->String(6);
   r.commit = "c" + in->String(8);
   return r;
 }
@@ -71,8 +70,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       auto parsed = moche::bench::FromJson(one);
       MOCHE_FUZZ_CHECK(parsed.ok(), "FromJson rejected ToJson output: %s",
                        parsed.status().message().c_str());
-      // An empty isa serializes as "" and reads back verbatim (only an
-      // ABSENT key defaults to "unknown").
       MOCHE_FUZZ_CHECK(SameRecord(*parsed, records.back()),
                        "record %zu did not round-trip through ToJson", i);
 

@@ -7,8 +7,8 @@
 // The divisions are the same IEEE operations in the same order the library
 // sweep performs, and a max over the same multiset of finite doubles is
 // order-insensitive, so agreement is required BIT-EXACTLY (memcmp), not
-// within a tolerance. Any last-ulp divergence here would break the SIMD
-// bit-identity contract one layer up.
+// within a tolerance. Any last-ulp divergence here would move the
+// corpus-dump md5 one layer up.
 
 #include <algorithm>
 #include <cmath>

@@ -22,11 +22,11 @@ contracts"):
                    Every sort call site in src/ must either live in a file
                    audited for NaN screening (the allowlist) or carry an
                    inline allow comment stating why NaN cannot reach it.
-  simd-include     SIMD intrinsic headers are confined to the two kernel
-                   TUs (src/util/simd_avx2.cc, src/util/simd_neon.cc).
-                   Anywhere else they would smuggle ISA-specific code past
-                   the runtime dispatch + bit-identity contract of
-                   util/simd.h.
+  simd-include     SIMD intrinsic headers (*intrin.h, arm_neon.h,
+                   arm_sve.h, arm_acle.h) are forbidden everywhere. The
+                   inner loops are scalar; a vector path may return only
+                   with an end-to-end number that beats its bound
+                   (docs/ARCHITECTURE.md, "Inner loops").
   seeded-rng       Randomness must be reproducible from option-derived
                    seeds. rand()/srand()/std::random_device/time(NULL)
                    seeding makes experiments unrepeatable and breaks the
@@ -79,12 +79,6 @@ RAW_THREAD_ALLOWED = {
     "src/util/parallel.cc",
 }
 
-# The only translation units allowed to include SIMD intrinsic headers.
-SIMD_TU_ALLOWED = {
-    "src/util/simd_avx2.cc",
-    "src/util/simd_neon.cc",
-}
-
 SOURCE_EXTENSIONS = (".h", ".cc", ".cpp")
 DEFAULT_SCAN_DIRS = ("src", "bench", "examples", "fuzz")
 
@@ -103,8 +97,7 @@ SETPRECISION_RE = re.compile(r"\bsetprecision\s*\(")
 SORT_RE = re.compile(
     r"std::(?:stable_)?sort\s*\(|std::nth_element\s*\(|std::partial_sort\s*\(")
 SIMD_INCLUDE_RE = re.compile(
-    r'#\s*include\s*[<"](?:immintrin|x86intrin|emmintrin|xmmintrin|smmintrin|'
-    r"avxintrin|arm_neon|arm_sve)\.h")
+    r'#\s*include\s*[<"](?:\w*intrin|arm_neon|arm_sve|arm_acle)\.h')
 SEEDED_RNG_RE = re.compile(
     r"\bs?rand\s*\(\s*\)|\bsrand\s*\(|std::random_device\b|"
     r"\btime\s*\(\s*(?:NULL|nullptr|0)?\s*\)")
@@ -303,10 +296,10 @@ def check_file(root, rel, config, violations):
             flag("raw-thread", lineno,
                  "raw threading primitive; route concurrency through "
                  "util/parallel (ThreadPool / ParallelFor)")
-        if rel not in SIMD_TU_ALLOWED and SIMD_INCLUDE_RE.search(line):
+        if SIMD_INCLUDE_RE.search(line):
             flag("simd-include", lineno,
-                 "SIMD intrinsic header outside the kernel TUs; add a "
-                 "kernel to util/simd.h instead")
+                 "SIMD intrinsic header; the inner loops are scalar "
+                 "(docs/ARCHITECTURE.md, \"Inner loops\")")
         if SEEDED_RNG_RE.search(line):
             flag("seeded-rng", lineno,
                  "non-reproducible randomness source; derive seeds from "

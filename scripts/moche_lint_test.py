@@ -192,7 +192,7 @@ class SortDoublesRuleTest(LintFixture):
 
 
 class SimdIncludeRuleTest(LintFixture):
-    def test_flags_immintrin_outside_kernel_tus(self):
+    def test_flags_immintrin(self):
         self.write("src/util/w.cc", "#include <immintrin.h>\n")
         self.assert_flags("simd-include", self.run_lint())
 
@@ -200,9 +200,21 @@ class SimdIncludeRuleTest(LintFixture):
         self.write("src/util/w.cc", "#include <arm_neon.h>\n")
         self.assert_flags("simd-include", self.run_lint())
 
-    def test_kernel_tus_are_exempt(self):
-        self.write("src/util/simd_avx2.cc", "#include <immintrin.h>\n")
-        self.write("src/util/simd_neon.cc", "#include <arm_neon.h>\n")
+    def test_former_kernel_tu_is_flagged(self):
+        # The AVX2 kernel TU the rule once exempted has no exemption left.
+        self.write(os.path.join("src", "util", "simd_avx2.cc"),
+                   "#include <immintrin.h>\n")
+        self.assert_flags("simd-include", self.run_lint())
+
+    def test_flags_headers_the_old_pattern_missed(self):
+        for header in ("tmmintrin.h", "intrin.h", "pmmintrin.h",
+                       "nmmintrin.h", "wmmintrin.h", "arm_acle.h"):
+            self.write("src/util/w.cc", f"#include <{header}>\n")
+            self.assert_flags("simd-include", self.run_lint())
+
+    def test_plain_headers_do_not_fire(self):
+        self.write("src/util/w.cc",
+                   "#include <cmath>\n#include \"util/stats.h\"\n")
         self.assert_clean(self.run_lint())
 
 

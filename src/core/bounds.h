@@ -11,14 +11,12 @@
 //
 // Hot-path layout: the constructor flattens the cumulative frame into
 // structure-of-arrays coefficient vectors (C_T and C_R pre-converted to
-// double, the rigid bound pre-offset), so each Theorem 1/2 check
-// streams contiguous double arrays with the (m-h)/n division hoisted out of
-// the loop — the layout the runtime-dispatched SIMD fast-filter kernels
-// (util/simd.h) consume four (AVX2) or two (NEON) coordinates at a time.
-// The kernels evaluate only the real-valued fast filter; every coordinate
-// the filter cannot certify takes the exact CeilTol/FloorTol integer path
-// here, so decisions are bit-identical to the scalar loop (the corpus-dump
-// identity gate pins this). SizeScan carries failure state across adjacent
+// double), so each Theorem 1/2 check streams contiguous double arrays with
+// the (m-h)/n division hoisted out of the loop. A scan evaluates only the
+// real-valued fast filter; every coordinate the filter cannot certify
+// takes the exact CeilTol/FloorTol integer path, so decisions are
+// identical to computing the bounds outright (the corpus-dump gate pins
+// this). SizeScan carries failure state across adjacent
 // candidate sizes so a size walk usually refutes a size in O(1) instead of
 // O(q); decisions are provably identical to the stateless checks (see the
 // class comment). q is the frame's window-compressed base size, at most
@@ -127,8 +125,7 @@ class BoundsEngine {
   /// Heap bytes retained by the coefficient arrays (capacity-based; see
   /// CumulativeFrame::FootprintBytes).
   size_t FootprintBytes() const {
-    return (ct_d_.capacity() + cr_d_.capacity() + rigid_d_.capacity()) *
-           sizeof(double);
+    return (ct_d_.capacity() + cr_d_.capacity()) * sizeof(double);
   }
 
  private:
@@ -136,8 +133,8 @@ class BoundsEngine {
 
   // Structure-of-arrays coefficient view of the frame, one entry per
   // base-vector coordinate (index 0 is the constant C[0] = 0 entry). The
-  // three double arrays feed the SIMD fast-filter kernels; the exact
-  // integer path reads its C_T operands from the frame itself. The
+  // two double arrays feed the fast-filter scans; the exact integer path
+  // reads its C_T operands from the frame itself. The
   // int64 -> double conversions happen once, in Reset (all exact — counts
   // are far below 2^53).
   //
@@ -146,9 +143,8 @@ class BoundsEngine {
   const CumulativeFrame* frame_ = nullptr;
   double alpha_ = 0.0;
   double c_alpha_ = 0.0;
-  std::vector<double> ct_d_;     // C_T[i]
-  std::vector<double> cr_d_;     // C_R[i]
-  std::vector<double> rigid_d_;  // C_T[i] - m, so l's rigid term is h + this
+  std::vector<double> ct_d_;  // C_T[i]
+  std::vector<double> cr_d_;  // C_R[i]
 };
 
 /// A Theorem 1 size walk that maintains bounds state incrementally across

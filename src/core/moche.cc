@@ -1,11 +1,12 @@
 #include "core/moche.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "core/bounds.h"
 #include "core/cumulative.h"
-#include "util/simd.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 namespace moche {
@@ -29,21 +30,40 @@ Status ValidateAndSortReference(const std::vector<double>& reference,
   return Status::OK();
 }
 
+// The ECDF sweep over q precomputed cumulative counts (as doubles):
+//   d_i = |cum_r[i] / n - cum_t[i] / m|
+// Returns max_i d_i. *best_index is the smallest i attaining it (first
+// strict max), or left untouched when the max is 0.0: no d_i ever exceeds
+// the initial best, and the caller keeps its front-value location.
+double SweepCum(const double* cum_r, const double* cum_t, size_t q, double n,
+                double m, size_t* best_index) {
+  double best = 0.0;
+  for (size_t i = 0; i < q; ++i) {
+    const double d = std::fabs(cum_r[i] / n - cum_t[i] / m);
+    if (d > best) {
+      best = d;
+      *best_index = i;
+    }
+  }
+  return best;
+}
+
 // The KS outcome of R against a test multiset of size m whose cumulative
 // counts on the engine's base vector are cum_t[1..q], swept against the
-// engine's C_R through the active SIMD kernel. Base values absent from both
-// R and that multiset only repeat the previous |F_R - F_T|, and the
-// reference values the frame dropped sit inside runs along which it is
-// strictly monotone, so the first-strict-max location is the one
-// ks::StatisticSorted finds on the samples themselves. `front` is R's
-// smallest value, StatisticSorted's location when D = 0.
+// engine's C_R. Base values absent from both R and that multiset only
+// repeat the previous |F_R - F_T|, and the reference values the frame
+// dropped sit inside runs along which it is strictly monotone, so the
+// first-strict-max location is the one ks::StatisticSorted finds on the
+// samples themselves. `front` is R's smallest value, StatisticSorted's
+// location when D = 0.
 KsOutcome SweepFrame(const BoundsEngine& engine, const double* cum_t,
                      size_t m, double front) {
   const CumulativeFrame& frame = engine.frame();
   size_t best_index = SIZE_MAX;
-  const double statistic = simd::ActiveKernels().ecdf_sweep_cum(
-      engine.cum_r_data() + 1, cum_t + 1, frame.q(),
-      static_cast<double>(frame.n()), static_cast<double>(m), &best_index);
+  const double statistic =
+      SweepCum(engine.cum_r_data() + 1, cum_t + 1, frame.q(),
+               static_cast<double>(frame.n()), static_cast<double>(m),
+               &best_index);
   KsOutcome out =
       ks::internal::DecideUnchecked(statistic, frame.n(), m, engine.alpha());
   out.location = best_index == SIZE_MAX ? front : frame.Value(best_index + 1);
@@ -52,9 +72,8 @@ KsOutcome SweepFrame(const BoundsEngine& engine, const double* cum_t,
 
 // The shared precondition of the batched evaluators. An empty batch is
 // valid whatever its width; otherwise windows must be non-empty, the data
-// non-null, and every value finite — checked in one flat SIMD pass over
-// count * width doubles, so the lanes stay full instead of paying
-// per-window ramp-up and tail handling count times.
+// non-null, and every value finite — checked in one flat pass over
+// count * width doubles.
 Status ValidateBatch(const WindowBatch& batch) {
   if (batch.count == 0) return Status::OK();
   if (batch.width == 0) {
@@ -63,8 +82,7 @@ Status ValidateBatch(const WindowBatch& batch) {
   if (batch.data == nullptr) {
     return Status::InvalidArgument("batch data is null");
   }
-  if (!simd::ActiveKernels().all_finite(batch.data,
-                                        batch.count * batch.width)) {
+  if (!AllFinite(batch.data, batch.count * batch.width)) {
     return Status::InvalidArgument("test window contains a non-finite value");
   }
   return Status::OK();

@@ -112,10 +112,8 @@ class PreparedReference {
 
 /// A structure-of-arrays batch of equally sized test windows: window w
 /// occupies data[w * width, (w + 1) * width). Borrowed, not owned — the
-/// buffer must outlive the call. Contiguity is the point: batch validation
-/// (the all-finite scan) runs as a single SIMD pass over count * width
-/// doubles instead of `count` short per-window passes with ramp-up/tail
-/// overhead each, so the vector lanes stay full.
+/// buffer must outlive the call. Batch validation (the all-finite scan)
+/// runs as a single pass over count * width doubles.
 struct WindowBatch {
   const double* data = nullptr;
   size_t count = 0;  ///< number of windows
@@ -197,7 +195,7 @@ class Moche {
   /// against one prepared reference, writing outcome w for window w into
   /// (*outcomes)[w]. Each outcome is bit-identical to
   /// ks::RunSorted(sorted_reference, sort(window), alpha) on the same data.
-  /// The whole batch is finiteness-checked in one SIMD pass before any
+  /// The whole batch is finiteness-checked in one pass before any
   /// window is evaluated; InvalidArgument (and *outcomes untouched) if any
   /// window holds a non-finite value, if count > 0 with width == 0, or if
   /// data is null with count * width > 0. Zero-allocation once `workspace`

@@ -6,7 +6,7 @@
 
 #include "ks/rank_walk.h"
 #include "util/logging.h"
-#include "util/simd.h"
+#include "util/stats.h"
 #include "util/string_util.h"
 
 namespace moche {
@@ -160,7 +160,7 @@ Status ValidateSample(const std::vector<double>& sample, const char* name) {
   if (sample.empty()) {
     return Status::InvalidArgument(StrFormat("%s is empty", name));
   }
-  if (!simd::ActiveKernels().all_finite(sample.data(), sample.size())) {
+  if (!AllFinite(sample.data(), sample.size())) {
     return Status::InvalidArgument(
         StrFormat("%s contains a non-finite value", name));
   }
@@ -184,7 +184,7 @@ Result<KsOutcome> RunSorted(const std::vector<double>& r_sorted,
 Result<KsOutcome> Run(std::vector<double> r, std::vector<double> t,
                       double alpha) {
   // Validate before sorting — a NaN must never reach std::sort (UB).
-  // RunSorted re-validates; all_finite is one cheap SIMD pass.
+  // RunSorted re-validates; AllFinite is one cheap linear pass.
   MOCHE_RETURN_IF_ERROR(ValidateSample(r, "reference set"));
   MOCHE_RETURN_IF_ERROR(ValidateSample(t, "test set"));
   // moche-lint: allow(sort-doubles): ranges validated finite above
@@ -195,6 +195,37 @@ Result<KsOutcome> Run(std::vector<double> r, std::vector<double> t,
 }
 
 }  // namespace ks
+
+namespace {
+
+// The RemovalKs sweep over its q <= 2m + 1 rank-frame points: cum_r_d is
+// C_R per point (as doubles), and the test side is prefix-summed in the
+// loop from per-point counts:
+//   cum_t_i = sum_{j<=i} (count_t[j] - removed[j])
+//   d_i     = |cum_r_d[i] / n - double(cum_t_i) / m_rem|
+// Returns max_i d_i. *best_index is the smallest i attaining it (first
+// strict max), or left untouched when the max is 0.0. Counts stay below
+// 2^52, so the int64 -> double conversion is exact. The prefix sum stays
+// fused: a separate prefix pass followed by a plain sweep measured slower
+// per re-test, because here the sum hides behind the sweep's divisions.
+double SweepCounts(const double* cum_r_d, const int64_t* count_t,
+                   const int64_t* removed, size_t q, double n, double m_rem,
+                   size_t* best_index) {
+  double best = 0.0;
+  int64_t cum_t = 0;
+  for (size_t i = 0; i < q; ++i) {
+    cum_t += count_t[i] - removed[i];
+    const double d =
+        std::fabs(cum_r_d[i] / n - static_cast<double>(cum_t) / m_rem);
+    if (d > best) {
+      best = d;
+      *best_index = i;
+    }
+  }
+  return best;
+}
+
+}  // namespace
 
 RemovalKs::RemovalKs(const std::vector<double>& r,
                      const std::vector<double>& t, double alpha)
@@ -209,7 +240,7 @@ RemovalKs::RemovalKs(const std::vector<double>& r,
   std::sort(ts.begin(), ts.end());
   front_ = rs.empty() ? 0.0 : rs.front();
   // C_R never changes, so it is stored as double (exact — counts are far
-  // below 2^53) and every CurrentOutcome streams it straight into the SIMD
+  // below 2^53) and every CurrentOutcome streams it straight into the
   // sweep.
   size_t prev_c_t = 0;
   ks::WalkRankFrame(rs.data(), rs.size(), ts.data(), ts.size(),
@@ -274,15 +305,14 @@ KsOutcome RemovalKs::CurrentOutcome() const {
   }
   const double n = static_cast<double>(n_);
   const double m_rem = static_cast<double>(m_ - removed_total_);
-  // The kernel prefix-sums count_t - removed in-register and divides the
-  // cumulative counts exactly as the scalar loop did — bit-identical, with
-  // the same first-strict-max location semantics (best_index is left alone
-  // when every |F_R - F_T| is zero; StatisticSorted then reports R's
-  // smallest value, which need not be the frame's smallest).
+  // Same first-strict-max location semantics as StatisticSorted
+  // (best_index is left alone when every |F_R - F_T| is zero;
+  // StatisticSorted then reports R's smallest value, which need not be the
+  // frame's smallest).
   size_t best_index = SIZE_MAX;
-  const double best = simd::ActiveKernels().ecdf_sweep_counts(
-      cum_r_d_.data(), count_t_.data(), removed_.data(), values_.size(), n,
-      m_rem, &best_index);
+  const double best =
+      SweepCounts(cum_r_d_.data(), count_t_.data(), removed_.data(),
+                  values_.size(), n, m_rem, &best_index);
   out = ks::internal::DecideUnchecked(best, n_, m_ - removed_total_, alpha_);
   out.location = best_index == SIZE_MAX ? front_ : values_[best_index];
   return out;

@@ -13,7 +13,7 @@
 #include "sketch/sketched_reference.h"
 #include "util/binary_io.h"
 #include "util/mutex.h"
-#include "util/simd.h"
+#include "util/stats.h"
 #include "util/string_util.h"
 
 namespace moche {
@@ -450,8 +450,7 @@ Status ParseShard(const std::string& bytes, uint32_t shard_index,
               restored->ring.size(),
               static_cast<unsigned long long>(restored->window)));
         }
-        if (!simd::ActiveKernels().all_finite(restored->ring.data(),
-                                              restored->ring.size())) {
+        if (!AllFinite(restored->ring.data(), restored->ring.size())) {
           return Status::InvalidArgument(StrFormat(
               "%s: stream %llu window ring has non-finite values",
               what.c_str(), static_cast<unsigned long long>(index)));

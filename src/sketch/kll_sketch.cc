@@ -4,7 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "util/simd.h"
+#include "util/stats.h"
 #include "util/string_util.h"
 
 namespace moche {
@@ -237,8 +237,7 @@ Result<KllSketch> KllSketch::DeserializeFrom(bin::Reader* reader) {
           "KLL sketch: level %zu holds %zu items, capacity is %zu", i,
           sketch.levels_[i].size(), sketch.capacity_));
     }
-    if (!simd::ActiveKernels().all_finite(sketch.levels_[i].data(),
-                                          sketch.levels_[i].size())) {
+    if (!AllFinite(sketch.levels_[i].data(), sketch.levels_[i].size())) {
       return Status::InvalidArgument(
           StrFormat("KLL sketch: level %zu holds a non-finite value", i));
     }

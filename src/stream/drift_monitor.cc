@@ -4,7 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "util/simd.h"
+#include "util/stats.h"
 #include "util/string_util.h"
 
 namespace moche {
@@ -266,11 +266,10 @@ Status DriftMonitor::PushBatch(
                   observations.size(), streams_.size()));
   }
   // Validate before fanning out: workers must not fail mid-stream (a
-  // partial drain would leave detector windows half-advanced). One SIMD
-  // finiteness pass per stream slot (util/simd.h).
-  const simd::Kernels& kernels = simd::ActiveKernels();
+  // partial drain would leave detector windows half-advanced). One
+  // finiteness pass per stream slot.
   for (size_t i = 0; i < observations.size(); ++i) {
-    if (!kernels.all_finite(observations[i].data(), observations[i].size())) {
+    if (!AllFinite(observations[i].data(), observations[i].size())) {
       return Status::InvalidArgument(
           StrFormat("non-finite observation for stream %zu ('%s')", i,
                     streams_[i].name.c_str()));

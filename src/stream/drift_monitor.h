@@ -224,12 +224,11 @@ class DriftMonitor {
   Status PushTick(const std::vector<double>& values);
 
   /// Re-runs the KS test on every stream's current window snapshot in
-  /// batched SIMD passes: streams sharing an interned PreparedReference and
+  /// batched passes: streams sharing an interned PreparedReference and
   /// window size are packed into one contiguous buffer and evaluated
-  /// through Moche::EvaluateBatchPrepared, so the vector lanes stay full
-  /// across windows instead of draining at every window boundary. A fleet
-  /// whose streams share one reference (the common deployment) is one
-  /// group, hence one batched call. (*outcomes)[i] is stream i's result;
+  /// through Moche::EvaluateBatchPrepared. A fleet whose streams share one
+  /// reference (the common deployment) is one group, hence one batched
+  /// call. (*outcomes)[i] is stream i's result;
   /// streams whose window is not yet full are skipped and left
   /// default-constructed (recognizable by n == 0, impossible for a real
   /// outcome). Each outcome matches ks::RunSorted(reference, window) on the

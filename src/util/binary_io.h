@@ -5,10 +5,9 @@
 // Every multi-byte integer is written least-significant byte first and
 // every double is written as the little-endian bytes of its IEEE-754 bit
 // pattern, independent of host byte order — a snapshot taken on any
-// machine restores bit-identically on any other (the aarch64 CI leg
-// compiles the same byte layout). Doubles round-trip exactly, including
-// -0.0, denormals, and NaN payloads: the codec copies bits, it never
-// formats or parses decimal text.
+// machine restores bit-identically on any other. Doubles round-trip
+// exactly, including -0.0, denormals, and NaN payloads: the codec copies
+// bits, it never formats or parses decimal text.
 //
 // The Reader is the untrusted-input half: every Read* bounds-checks
 // against the remaining buffer and returns false instead of reading past

@@ -19,6 +19,13 @@ bool ContainsNan(const std::vector<double>& v) {
 
 }  // namespace
 
+bool AllFinite(const double* values, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    if (!std::isfinite(values[i])) return false;
+  }
+  return true;
+}
+
 double Mean(const std::vector<double>& v) {
   if (v.empty()) return 0.0;
   double sum = 0.0;

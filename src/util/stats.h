@@ -1,4 +1,5 @@
-// Descriptive statistics shared by the harness and the benches.
+// Descriptive statistics shared by the harness and the benches, and the
+// finiteness check every validation path runs before a sort.
 //
 // Ownership & thread-safety: pure free functions over caller-owned vectors
 // (by-value parameters are private copies); no shared state, safe from any
@@ -11,6 +12,11 @@
 #include <vector>
 
 namespace moche {
+
+/// True iff none of values[0, count) is NaN or +-Inf. An empty range is
+/// finite. Every input gate (samples, batches, pushes, restored rings and
+/// sketch levels) runs this before a value can reach std::sort.
+bool AllFinite(const double* values, size_t count);
 
 /// Arithmetic mean; 0 for an empty input.
 double Mean(const std::vector<double>& v);

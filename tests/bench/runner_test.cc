@@ -22,7 +22,6 @@ BenchResult MakeValid() {
   r.unit = "s/op";
   r.threads = 4;
   r.samples = 7;
-  r.isa = "avx2";
   r.commit = "abc1234";
   return r;
 }
@@ -38,8 +37,7 @@ TEST(BenchResultSchema, GoldenJsonShape) {
             "{\"bench\": \"micro_core\", "
             "\"metric\": \"theorem1_check.w10000.median\", "
             "\"value\": 1.2500000000000001e-05, \"unit\": \"s/op\", "
-            "\"threads\": 4, \"samples\": 7, \"isa\": \"avx2\", "
-            "\"commit\": \"abc1234\"}");
+            "\"threads\": 4, \"samples\": 7, \"commit\": \"abc1234\"}");
 }
 
 TEST(BenchResultSchema, RoundTripsThroughJson) {
@@ -52,19 +50,24 @@ TEST(BenchResultSchema, RoundTripsThroughJson) {
   EXPECT_EQ(parsed->unit, original.unit);
   EXPECT_EQ(parsed->threads, original.threads);
   EXPECT_EQ(parsed->samples, original.samples);
-  EXPECT_EQ(parsed->isa, original.isa);
   EXPECT_EQ(parsed->commit, original.commit);
 }
 
 TEST(BenchResultSchema, IsaKeyIsOptionalForPreSimdFiles) {
-  // Records written before the "isa" key existed must keep parsing; the
-  // field reads back as the sentinel "unknown", never as empty.
-  const auto parsed =
+  // The writer no longer emits "isa", but the committed BENCH files and
+  // the bench_json_fuzz corpus carry it: a record parses the same with or
+  // without it, and the value is discarded.
+  const auto without =
       FromJson("{\"bench\": \"b\", \"metric\": \"m\", \"unit\": \"s\", "
                "\"value\": 1, \"threads\": 1, \"samples\": 1, "
                "\"commit\": \"c\"}");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->isa, "unknown");
+  ASSERT_TRUE(without.ok()) << without.status().ToString();
+  const auto with =
+      FromJson("{\"bench\": \"b\", \"metric\": \"m\", \"unit\": \"s\", "
+               "\"value\": 1, \"threads\": 1, \"samples\": 1, "
+               "\"isa\": \"avx2\", \"commit\": \"c\"}");
+  ASSERT_TRUE(with.ok()) << with.status().ToString();
+  EXPECT_EQ(ToJson(*with), ToJson(*without));
   // Present-but-duplicated is still an error.
   EXPECT_TRUE(FromJson("{\"bench\": \"b\", \"metric\": \"m\", "
                        "\"unit\": \"s\", \"value\": 1, \"threads\": 1, "
@@ -261,7 +264,6 @@ TEST(WriteBenchJson, WritesAFileThatParsesBack) {
   BenchResult b = MakeValid();
   b.metric = "theorem1_check.w10000.p90";
   b.commit.clear();  // exercises the env/unknown fallback fill
-  b.isa.clear();     // filled with the dispatched ISA name
   results.push_back(a);
   results.push_back(b);
   ASSERT_TRUE(WriteBenchJson("runner_test", results, dir).ok());
@@ -276,10 +278,6 @@ TEST(WriteBenchJson, WritesAFileThatParsesBack) {
   EXPECT_EQ((*parsed)[0].metric, a.metric);
   EXPECT_EQ((*parsed)[1].metric, b.metric);
   EXPECT_FALSE((*parsed)[1].commit.empty());  // filled, never written empty
-  // The dispatched ISA is stamped into every record whose field was empty
-  // and is one of the shim's stable names.
-  const std::string& isa = (*parsed)[1].isa;
-  EXPECT_TRUE(isa == "scalar" || isa == "avx2" || isa == "neon") << isa;
 }
 
 TEST(WriteBenchJson, RefusesToWriteMalformedRecords) {

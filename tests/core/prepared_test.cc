@@ -160,7 +160,7 @@ TEST(WindowBatchTest, ValidatesBatchShapeAndContents) {
                                          &workspace, &outcomes)
                   .IsInvalidArgument());
   // A non-finite value anywhere in the batch poisons the whole call (one
-  // SIMD validation pass over the flat buffer).
+  // validation pass over the flat buffer).
   const double bad[4] = {1.0, 2.0,
                          std::numeric_limits<double>::quiet_NaN(), 4.0};
   EXPECT_TRUE(engine

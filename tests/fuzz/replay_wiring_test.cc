@@ -56,12 +56,12 @@ TEST(ReplayWiringTest, FuzzDirectoryExists) {
 
 TEST(ReplayWiringTest, AllNineTargetsPresent) {
   const std::vector<std::string> stems = DiscoverTargets();
-  // The PR-8 inventory plus PR-9's snapshot codec target; growing it is
-  // fine, shrinking it is not.
+  // Every target in fuzz/ today. Growing the set is fine; a target leaves
+  // it only together with the code it fuzzes.
   for (const char* required :
-       {"ks_statistic_fuzz", "streaming_ks_fuzz", "simd_parity_fuzz",
-        "bounds_engine_fuzz", "explain_pipeline_fuzz", "drift_monitor_fuzz",
-        "bench_json_fuzz", "parse_double_fuzz", "snapshot_fuzz"}) {
+       {"ks_statistic_fuzz", "streaming_ks_fuzz", "bounds_engine_fuzz",
+        "explain_pipeline_fuzz", "drift_monitor_fuzz", "bench_json_fuzz",
+        "parse_double_fuzz", "snapshot_fuzz", "sketch_fuzz"}) {
     EXPECT_TRUE(std::find(stems.begin(), stems.end(), required) !=
                 stems.end())
         << "missing fuzz target " << required;

@@ -12,7 +12,6 @@
 #include "ks/ks_test.h"
 #include "testing_util.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace moche {
 namespace {
@@ -24,7 +23,9 @@ bool SameBits(double a, double b) {
 // The union-grid RemovalKs the rank-frame version replaced: R u T merged
 // into one ascending grid of distinct values with per-value counts, swept
 // whole on every re-test. Kept as the bit-identity oracle, with its
-// arithmetic unchanged; removals report success as a bool.
+// arithmetic unchanged; removals report success as a bool. Its sweep is
+// its own inline first-strict-max loop, so a bug in the production sweep
+// cannot hide behind the oracle.
 class UnionGridRemovalKs {
  public:
   UnionGridRemovalKs(const std::vector<double>& r,
@@ -105,9 +106,17 @@ class UnionGridRemovalKs {
     const double n = static_cast<double>(n_);
     const double m_rem = static_cast<double>(m_ - removed_total_);
     size_t best_index = SIZE_MAX;
-    const double best = simd::ActiveKernels().ecdf_sweep_counts(
-        cum_r_d_.data(), count_t_.data(), removed_.data(), values_.size(), n,
-        m_rem, &best_index);
+    double best = 0.0;
+    int64_t cum_t = 0;
+    for (size_t i = 0; i < values_.size(); ++i) {
+      cum_t += count_t_[i] - removed_[i];
+      const double d =
+          std::fabs(cum_r_d_[i] / n - static_cast<double>(cum_t) / m_rem);
+      if (d > best) {
+        best = d;
+        best_index = i;
+      }
+    }
     out = ks::internal::DecideUnchecked(best, n_, m_ - removed_total_, alpha_);
     out.location = best_index == SIZE_MAX ? SmallestReferenceValue()
                                           : values_[best_index];

@@ -270,7 +270,7 @@ TEST(DriftMonitorTest, RecheckWindowsMatchesRunSortedPerStream) {
   // (one batched group), stream 2 shares the reference at a different
   // window size, stream 3 has its own reference. RecheckWindows must give
   // each full stream exactly ks::RunSorted on its window, regardless of
-  // how the streams were grouped into batched SIMD calls.
+  // how the streams were grouped into batched calls.
   auto monitor = DriftMonitor::Create(MonitorOptions{});
   ASSERT_TRUE(monitor.ok());
   Rng rng(kSeed);

@@ -1,6 +1,8 @@
 #include "util/stats.h"
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -104,6 +106,43 @@ TEST(ZNormalizeTest, ConstantBecomesZeros) {
   std::vector<double> v{7, 7, 7};
   ZNormalize(&v);
   for (double x : v) EXPECT_DOUBLE_EQ(x, 0.0);
+}
+
+TEST(AllFiniteTest, PoisonAtEveryPositionIsCaught) {
+  const double poisons[] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity()};
+  for (size_t len : {1u, 2u, 3u, 4u, 5u, 8u, 9u, 17u}) {
+    // -0.0 and a denormal are finite and must not trip the check.
+    std::vector<double> v(len, 1.0);
+    v[0] = -0.0;
+    v[len / 2] = std::numeric_limits<double>::denorm_min();
+    EXPECT_TRUE(AllFinite(v.data(), v.size())) << "len=" << len;
+    for (size_t pos = 0; pos < len; ++pos) {
+      for (double poison : poisons) {
+        std::vector<double> bad = v;
+        bad[pos] = poison;
+        EXPECT_FALSE(AllFinite(bad.data(), bad.size()))
+            << "len=" << len << " pos=" << pos;
+      }
+    }
+  }
+}
+
+TEST(AllFiniteTest, EmptyRangeIsFinite) {
+  EXPECT_TRUE(AllFinite(nullptr, 0));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(AllFinite(&nan, 0));
+}
+
+TEST(AllFiniteTest, ChecksOnlyTheGivenSubrange) {
+  // Callers pass (pointer, count) views into larger buffers: values just
+  // outside the range must not be read into the answer.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> v = {nan, 1.0, 2.0, 3.0, nan};
+  EXPECT_TRUE(AllFinite(v.data() + 1, 3));
+  EXPECT_FALSE(AllFinite(v.data(), 3));
+  EXPECT_FALSE(AllFinite(v.data() + 2, 3));
 }
 
 }  // namespace
