@@ -51,48 +51,6 @@ Result<double> CriticalValue(double alpha) {
   return internal::CriticalValueUnchecked(alpha);
 }
 
-double KolmogorovQ(double lambda) {
-  if (!(lambda > 0.0)) return 1.0;
-  // Below the crossover the alternating series' terms approach 1 and cancel
-  // catastrophically (at lambda = 0.3 the true Q is 1 - 9e-5 but the series
-  // needs ~1/lambda terms of alternating near-unit magnitude). The dual
-  // Jacobi theta form converges fastest exactly there: t < 0.42 below the
-  // crossover, so three terms (t, t^9, t^25) leave a t^49 < 1e-19 tail.
-  // 1.18 is the classic handover point where both expansions need only a
-  // handful of terms and agree to ~1e-15.
-  constexpr double kCrossover = 1.18;
-  if (lambda < kCrossover) {
-    constexpr double kPiSqOver8 = 1.2337005501361697;  // pi^2 / 8
-    constexpr double kSqrt2Pi = 2.5066282746310002;    // sqrt(2 pi)
-    const double t = std::exp(-kPiSqOver8 / (lambda * lambda));
-    if (t == 0.0) return 1.0;  // underflow: Q rounds to 1 exactly
-    const double t2 = t * t;
-    const double t4 = t2 * t2;
-    const double t8 = t4 * t4;
-    const double p = (kSqrt2Pi / lambda) * (t + t8 * t + t8 * t8 * t8 * t);
-    return std::clamp(1.0 - p, 0.0, 1.0);
-  }
-  double sum = 0.0;
-  double sign = 1.0;
-  for (int j = 1; j <= 100; ++j) {
-    const double term = std::exp(-2.0 * j * j * lambda * lambda);
-    sum += sign * term;
-    if (term < 1e-16) break;
-    sign = -sign;
-  }
-  return std::clamp(2.0 * sum, 0.0, 1.0);
-}
-
-Result<double> PValueAsymptotic(double d, size_t n, size_t m) {
-  if (n == 0 || m == 0) {
-    return Status::InvalidArgument(
-        StrFormat("sample sizes must be positive, got n=%zu m=%zu", n, m));
-  }
-  const double dn = static_cast<double>(n);
-  const double dm = static_cast<double>(m);
-  return KolmogorovQ(d * std::sqrt(dn * dm / (dn + dm)));
-}
-
 Result<double> Threshold(double alpha, size_t n, size_t m) {
   MOCHE_RETURN_IF_ERROR(ValidateAlpha(alpha));
   if (n == 0 || m == 0) {

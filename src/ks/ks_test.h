@@ -51,24 +51,6 @@ Status ValidateAlpha(double alpha);
 /// aborts).
 Result<double> CriticalValue(double alpha);
 
-/// Kolmogorov tail probability Q_KS(lambda) = 2 sum (-1)^{j-1} e^{-2j^2 l^2}.
-///
-/// For lambda below the crossover 1.18 the alternating series above loses
-/// accuracy (its terms approach 1 and cancel), so the complementary Jacobi
-/// theta expansion is used instead:
-///   Q = 1 - (sqrt(2 pi)/lambda) * (t + t^9 + t^25),  t = exp(-pi^2/(8 l^2))
-/// (the dual form of the same theta function; the dropped t^49 term is
-/// < 1e-19 at the crossover). Both expansions agree to ~1e-15 near 1.18.
-/// Returns 1.0 for lambda <= 0.
-double KolmogorovQ(double lambda);
-
-/// Asymptotic two-sample p-value for an observed statistic d:
-/// Q_KS(sqrt(nm/(n+m)) * d). Rejecting when p < alpha agrees with the
-/// paper's D > Threshold(alpha, n, m) rule up to the higher-order series
-/// terms the one-term critical value drops (differences < ~1e-4).
-/// InvalidArgument when n or m is zero.
-Result<double> PValueAsymptotic(double d, size_t n, size_t m);
-
 /// The rejection threshold p = c_alpha * sqrt((n+m)/(n*m)).
 /// InvalidArgument when alpha is outside (0, 2) or n or m is zero.
 Result<double> Threshold(double alpha, size_t n, size_t m);

@@ -36,8 +36,7 @@ TEST(ThresholdTest, Formula) {
 
 // The public ks surface is consistently Status-returning: the same
 // out-of-domain alpha that makes RunSorted return InvalidArgument must make
-// CriticalValue / Threshold / PValueAsymptotic return InvalidArgument too,
-// never abort.
+// CriticalValue / Threshold return InvalidArgument too, never abort.
 TEST(CriticalValueTest, OutOfDomainAlphaIsInvalidArgument) {
   for (double alpha : {0.0, -0.5, 2.0, 3.0}) {
     EXPECT_TRUE(ks::CriticalValue(alpha).status().IsInvalidArgument())
@@ -55,8 +54,6 @@ TEST(CriticalValueTest, OutOfDomainAlphaIsInvalidArgument) {
 TEST(ThresholdTest, ZeroSampleSizesAreInvalidArgument) {
   EXPECT_TRUE(ks::Threshold(0.05, 0, 10).status().IsInvalidArgument());
   EXPECT_TRUE(ks::Threshold(0.05, 10, 0).status().IsInvalidArgument());
-  EXPECT_TRUE(ks::PValueAsymptotic(0.5, 0, 10).status().IsInvalidArgument());
-  EXPECT_TRUE(ks::PValueAsymptotic(0.5, 10, 0).status().IsInvalidArgument());
 }
 
 TEST(StatisticTest, IdenticalSamplesGiveZero) {
@@ -222,98 +219,6 @@ TEST(RunTest, RejectionMonotoneInAlpha) {
     }
     prev_reject = outcome->reject;
   }
-}
-
-
-TEST(KolmogorovQTest, KnownValuesAndMonotonicity) {
-  EXPECT_DOUBLE_EQ(ks::KolmogorovQ(0.0), 1.0);
-  EXPECT_NEAR(ks::KolmogorovQ(10.0), 0.0, kTightTol);
-  // c_alpha solves the ONE-TERM approximation 2 e^{-2c^2} = alpha, so the
-  // full series agrees to its second term, 2 e^{-8 c_alpha^2} (~1e-5 at
-  // alpha = 0.25, far smaller below).
-  for (double alpha : {0.01, 0.05, 0.1, 0.25}) {
-    const double c = *ks::CriticalValue(alpha);
-    EXPECT_NEAR(ks::KolmogorovQ(c), alpha, 3.0 * std::exp(-8.0 * c * c));
-  }
-  EXPECT_GT(ks::KolmogorovQ(0.5), ks::KolmogorovQ(1.0));
-}
-
-// Goldens for the small-lambda theta-dual expansion (values from the
-// standard Kolmogorov distribution tables, Q(c) = 1 - K(c)); the
-// alternating series alone loses all precision below c ~ 0.5, where it
-// needs hundreds of slowly-cancelling terms.
-TEST(KolmogorovQTest, SmallLambdaGoldens) {
-  EXPECT_NEAR(ks::KolmogorovQ(0.5), 0.9639452436648751, 1e-12);
-  EXPECT_NEAR(ks::KolmogorovQ(1.0), 0.26999967167735456, 1e-12);
-  EXPECT_NEAR(ks::KolmogorovQ(1.5), 0.022217962616525124, 1e-12);
-  EXPECT_NEAR(ks::KolmogorovQ(2.0), 0.0006709252557793559, 1e-12);
-  // Deep in the theta regime the survival probability is 1 to double
-  // precision (K(0.1) ~ 6e-54), and the dual expansion must not underflow
-  // into garbage.
-  EXPECT_DOUBLE_EQ(ks::KolmogorovQ(0.1), 1.0);
-  EXPECT_DOUBLE_EQ(ks::KolmogorovQ(0.02), 1.0);
-  EXPECT_DOUBLE_EQ(ks::KolmogorovQ(1e-8), 1.0);
-  EXPECT_DOUBLE_EQ(ks::KolmogorovQ(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(ks::KolmogorovQ(-1.0), 1.0);
-}
-
-// Both expansions converge to the same function; at the 1.18 crossover
-// they must agree far below any tolerance a caller could observe. This
-// pins the crossover against accidental edits that would make PValue
-// discontinuous in D.
-TEST(KolmogorovQTest, ContinuousAcrossExpansionCrossover) {
-  double prev = ks::KolmogorovQ(1.1799);
-  for (double lambda = 1.17991; lambda <= 1.18011; lambda += 1e-5) {
-    const double q = ks::KolmogorovQ(lambda);
-    EXPECT_LE(q, prev);
-    EXPECT_NEAR(q, prev, 1e-4);  // locally Lipschitz, no jump
-    prev = q;
-  }
-  // Direct cross-check: evaluate a small-lambda point with the raw
-  // alternating series (summed to convergence in long double) and compare.
-  const double lambda = 1.0;
-  long double sum = 0.0L;
-  for (int k = 1; k <= 200; ++k) {
-    const long double term =
-        std::exp(-2.0L * k * k * lambda * lambda);
-    sum += (k % 2 == 1 ? 2.0L : -2.0L) * term;
-  }
-  EXPECT_NEAR(ks::KolmogorovQ(lambda), static_cast<double>(sum), 1e-14);
-}
-
-TEST(KolmogorovQTest, StrictlyDecreasingOverSupport) {
-  double prev = ks::KolmogorovQ(0.3);
-  for (double lambda = 0.35; lambda <= 2.5; lambda += 0.05) {
-    const double q = ks::KolmogorovQ(lambda);
-    EXPECT_LT(q, prev) << "lambda=" << lambda;
-    prev = q;
-  }
-}
-
-// p < alpha must agree with D > Threshold(alpha) on random instances:
-// the two rejection rules are algebraically the same test.
-TEST(PValueTest, EquivalentToThresholdComparison) {
-  Rng rng(99);
-  for (int rep = 0; rep < 100; ++rep) {
-    const size_t n = static_cast<size_t>(rng.Integer(5, 400));
-    const size_t m = static_cast<size_t>(rng.Integer(5, 400));
-    const double d = rng.Uniform(0.0, 1.0);
-    for (double alpha : {0.01, 0.05, 0.2}) {
-      // the full-series p-value and the one-term threshold disagree only
-      // inside a hair-thin band around the threshold; skip that band
-      const double threshold = *ks::Threshold(alpha, n, m);
-      if (std::fabs(d - threshold) < 1e-3) continue;
-      const bool by_threshold = d > threshold;
-      const bool by_pvalue = *ks::PValueAsymptotic(d, n, m) < alpha;
-      EXPECT_EQ(by_threshold, by_pvalue)
-          << "n=" << n << " m=" << m << " d=" << d << " alpha=" << alpha;
-    }
-  }
-}
-
-TEST(PValueTest, BoundaryBehaviour) {
-  EXPECT_DOUBLE_EQ(*ks::PValueAsymptotic(0.0, 100, 100), 1.0);
-  EXPECT_NEAR(*ks::PValueAsymptotic(1.0, 500, 500), 0.0, kTightTol);
 }
 
 }  // namespace
