@@ -313,6 +313,101 @@ TEST(MonitorCodecTest, RestoreThreadCountIsAFreeChoice) {
   EXPECT_EQ(again->shards, blobs->shards);
 }
 
+// FNV-1a 64 over a byte string. Test-local on purpose: the pins below
+// must not move when the library's own hashing changes.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t hash = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// Nine streams over three distinct references (stream j binds reference
+// j % 3), each fed its own drift scenario, so several shards hold
+// references and the shard assignment itself is part of the pinned bytes.
+stream::DriftMonitor BuildSharedReferenceFleet(stream::MonitorOptions options) {
+  options.rearm = stream::RearmPolicy::kOncePerExcursion;
+  auto monitor = stream::DriftMonitor::Create(options);
+  EXPECT_TRUE(monitor.ok()) << monitor.status().ToString();
+  const std::vector<ts::DriftScenario> scenarios = ts::MakeDriftScenarioSuite(
+      9, /*seed=*/20261019, /*reference_size=*/60, /*length=*/200);
+  for (size_t j = 0; j < scenarios.size(); ++j) {
+    auto index = monitor->AddStream(scenarios[j].name,
+                                    scenarios[j % 3].reference,
+                                    /*window_size=*/40);
+    EXPECT_TRUE(index.ok()) << index.status().ToString();
+  }
+  std::vector<std::vector<double>> batch(scenarios.size());
+  for (size_t t0 = 0; t0 < 200; t0 += 32) {
+    for (size_t i = 0; i < scenarios.size(); ++i) {
+      const std::vector<double>& obs = scenarios[i].observations;
+      const size_t begin = std::min(obs.size(), t0);
+      const size_t end = std::min(obs.size(), begin + 32);
+      batch[i].assign(obs.begin() + static_cast<long>(begin),
+                      obs.begin() + static_cast<long>(end));
+    }
+    EXPECT_TRUE(monitor->PushBatch(batch).ok());
+  }
+  return std::move(*monitor);
+}
+
+TEST(MonitorCodecTest, CheckpointBytesArePinned) {
+  // The encoder's output is a wire format: a faster Serialize must write
+  // exactly these bytes. Each blob is pinned by size and digest, in both
+  // reference modes; an empty shard is pinned too (the file set matters).
+  struct Pin {
+    size_t size;
+    uint64_t digest;
+  };
+  struct Case {
+    stream::ReferenceMode mode;
+    Pin manifest;
+    Pin shards[4];
+  };
+  const Case cases[] = {
+      {stream::ReferenceMode::kExact,
+       {94, 0x98d87fde252b1ea6ull},
+       {{108, 0x7f1296648c64e597ull},
+        {3228, 0x5923a5be795e9e60ull},
+        {9163, 0x0d08f1bdb1765769ull},
+        {108, 0xd3fe57d5f5655b0dull}}},
+      {stream::ReferenceMode::kSketched,
+       {94, 0x893a6a117ebaa2c3ull},
+       {{108, 0x7f1296648c64e597ull},
+        {3724, 0xfcb4388d544a6ba0ull},
+        {10155, 0xb410b9117af1ff9full},
+        {108, 0xd3fe57d5f5655b0dull}}},
+  };
+  for (const Case& c : cases) {
+    stream::MonitorOptions options;
+    options.reference_mode = c.mode;
+    options.sketch_k = 64;
+    const stream::DriftMonitor monitor = BuildSharedReferenceFleet(options);
+    ASSERT_FALSE(monitor.events().empty());
+    ASSERT_EQ(monitor.cache_stats().entries, 3u);
+
+    CheckpointOptions checkpoint;
+    checkpoint.num_shards = 4;
+    auto blobs = MonitorCodec::Serialize(monitor, checkpoint);
+    ASSERT_TRUE(blobs.ok()) << blobs.status().ToString();
+    ASSERT_EQ(blobs->shards.size(), 4u);
+    const int mode = static_cast<int>(c.mode);
+    EXPECT_EQ(blobs->manifest.size(), c.manifest.size) << "mode " << mode;
+    EXPECT_EQ(Fnv1a64(blobs->manifest), c.manifest.digest)
+        << "mode " << mode << std::hex << " digest 0x"
+        << Fnv1a64(blobs->manifest);
+    for (size_t s = 0; s < 4; ++s) {
+      EXPECT_EQ(blobs->shards[s].size(), c.shards[s].size)
+          << "mode " << mode << " shard " << s;
+      EXPECT_EQ(Fnv1a64(blobs->shards[s]), c.shards[s].digest)
+          << "mode " << mode << " shard " << s << std::hex << " digest 0x"
+          << Fnv1a64(blobs->shards[s]);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace persist
 }  // namespace moche
