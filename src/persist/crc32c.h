@@ -2,13 +2,17 @@
 // per-section integrity checksum of the snapshot format (docs/SNAPSHOT.md).
 // Castagnoli rather than the zlib polynomial because it is the storage-
 // format convention (iSCSI, ext4, LevelDB/RocksDB record framing) and
-// hardware-accelerated everywhere — this software implementation is the
-// portable reference; the snapshot sections it guards are small relative
-// to the doubles they carry, so table lookup speed is ample.
+// hardware-accelerated on common CPUs. This implementation is portable
+// C++: slice-by-8, eight 256-entry tables that advance the CRC over one
+// 8-byte block per step, with each block read as little-endian words
+// assembled from bytes (no intrinsics, no alignment or byte-order
+// assumption). Speed matters here: the checksummed sections carry every
+// serialized double, so a checkpoint runs this over nearly all of its
+// bytes, once when writing and once more when restoring.
 //
 // Ownership & thread-safety: pure functions over caller-owned buffers; the
-// internal lookup table is immutable after static initialization. Safe
-// from any thread.
+// internal lookup tables are immutable after their first-use
+// initialization. Safe from any thread.
 
 #ifndef MOCHE_PERSIST_CRC32C_H_
 #define MOCHE_PERSIST_CRC32C_H_

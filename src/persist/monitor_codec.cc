@@ -7,6 +7,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "persist/snapshot.h"
@@ -561,23 +562,44 @@ Result<CheckpointBlobs> MonitorCodec::Serialize(
   // PushBatch waits, so the blobs capture one consistent state.
   MutexLock lock(monitor.state_mutex_.get());
 
+  // One cache lookup per distinct reference, in first-use order. The
+  // lookup returns the fingerprint the cache entry is keyed by, so the
+  // shard of every stream bound to the reference costs no hashing here.
+  struct SharedReference {
+    size_t exemplar = 0;  // the first stream bound to it
+    std::vector<double> original;
+    double alpha = 0.0;
+    uint32_t shard = 0;
+  };
   const size_t num_streams = monitor.streams_.size();
-  std::vector<std::vector<double>> originals(num_streams);
-  std::vector<double> alphas(num_streams, 0.0);
+  std::vector<SharedReference> refs;
+  std::vector<size_t> ref_of_stream(num_streams, 0);
   std::vector<uint32_t> shard_of(num_streams, 0);
+  std::unordered_map<const PreparedReference*, size_t> ref_index;
   for (size_t i = 0; i < num_streams; ++i) {
-    if (!monitor.cache_->FindOriginal(monitor.streams_[i].prepared.get(),
-                                      &originals[i], &alphas[i])) {
-      return Status::Internal(StrFormat(
-          "stream %zu's prepared reference is not in the intern cache", i));
+    const PreparedReference* prepared = monitor.streams_[i].prepared.get();
+    auto [it, inserted] = ref_index.emplace(prepared, refs.size());
+    if (inserted) {
+      SharedReference ref;
+      ref.exemplar = i;
+      uint64_t fingerprint = 0;
+      if (!monitor.cache_->FindOriginal(prepared, &ref.original, &ref.alpha,
+                                        &fingerprint)) {
+        return Status::Internal(StrFormat(
+            "stream %zu's prepared reference is not in the intern cache", i));
+      }
+      ref.shard = static_cast<uint32_t>(fingerprint % options.num_shards);
+      refs.push_back(std::move(ref));
     }
-    shard_of[i] = static_cast<uint32_t>(
-        stream::ReferenceFingerprint(originals[i], alphas[i]) %
-        options.num_shards);
+    ref_of_stream[i] = it->second;
+    shard_of[i] = refs[it->second].shard;
   }
 
+  const bool sketched_mode =
+      monitor.options_.reference_mode == ReferenceMode::kSketched;
   CheckpointBlobs blobs;
   blobs.shards.resize(options.num_shards);
+  std::vector<size_t> local_ref(refs.size(), 0);  // ref -> index in shard
   for (uint32_t s = 0; s < options.num_shards; ++s) {
     SnapshotWriter writer(&blobs.shards[s]);
 
@@ -586,48 +608,43 @@ Result<CheckpointBlobs> MonitorCodec::Serialize(
     bin::AppendU32Le(options.num_shards, payload);
     writer.EndSection();
 
-    // This shard's members and its reference table in first-use order —
-    // both derived from the stream indices, so the bytes are deterministic
-    // (an unordered_map walk here would break the fixed point).
-    std::vector<size_t> members;
-    std::vector<size_t> ref_exemplar;          // stream that first used ref
-    std::vector<size_t> ref_of(num_streams, 0);  // member -> ref index
-    for (size_t i = 0; i < num_streams; ++i) {
-      if (shard_of[i] != s) continue;
-      members.push_back(i);
-      const PreparedReference* prepared = monitor.streams_[i].prepared.get();
-      size_t r = 0;
-      while (r < ref_exemplar.size() &&
-             monitor.streams_[ref_exemplar[r]].prepared.get() != prepared) {
-        ++r;
-      }
-      if (r == ref_exemplar.size()) ref_exemplar.push_back(i);
-      ref_of[i] = r;
-    }
-
-    const bool sketched_mode =
-        monitor.options_.reference_mode == ReferenceMode::kSketched;
-
+    // This shard's reference table in first-use order. All streams of a
+    // reference share its shard, so global first use restricted to the
+    // shard is the shard's own first use; both orders derive from the
+    // stream indices, so the bytes are deterministic (an unordered_map
+    // walk here would break the fixed point).
     payload = writer.BeginSection(kSectionReferences);
-    bin::AppendU64Le(static_cast<uint64_t>(ref_exemplar.size()), payload);
-    for (size_t exemplar : ref_exemplar) {
-      bin::AppendDoubleArray(originals[exemplar], payload);
-      bin::AppendDoubleLe(alphas[exemplar], payload);
-      monitor.streams_[exemplar].prepared->SerializeTo(payload);
-      if (sketched_mode) {
-        monitor.streams_[exemplar].sketched->SerializeTo(payload);
-      }
+    uint64_t ref_count = 0;
+    for (const SharedReference& ref : refs) {
+      if (ref.shard == s) ++ref_count;
+    }
+    bin::AppendU64Le(ref_count, payload);
+    size_t next_local = 0;
+    for (size_t r = 0; r < refs.size(); ++r) {
+      if (refs[r].shard != s) continue;
+      local_ref[r] = next_local++;
+      const auto& exemplar = monitor.streams_[refs[r].exemplar];
+      bin::AppendDoubleArray(refs[r].original, payload);
+      bin::AppendDoubleLe(refs[r].alpha, payload);
+      exemplar.prepared->SerializeTo(payload);
+      if (sketched_mode) exemplar.sketched->SerializeTo(payload);
     }
     writer.EndSection();
 
     payload = writer.BeginSection(kSectionStreams);
-    bin::AppendU64Le(static_cast<uint64_t>(members.size()), payload);
+    uint64_t member_count = 0;
+    for (size_t i = 0; i < num_streams; ++i) {
+      if (shard_of[i] == s) ++member_count;
+    }
+    bin::AppendU64Le(member_count, payload);
     std::vector<double> window_scratch;
-    for (size_t i : members) {
+    for (size_t i = 0; i < num_streams; ++i) {
+      if (shard_of[i] != s) continue;
       const auto& st = monitor.streams_[i];
       bin::AppendU64Le(static_cast<uint64_t>(i), payload);
       bin::AppendString(st.name, payload);
-      bin::AppendU64Le(static_cast<uint64_t>(ref_of[i]), payload);
+      bin::AppendU64Le(static_cast<uint64_t>(local_ref[ref_of_stream[i]]),
+                       payload);
       bin::AppendU64Le(st.ticks, payload);
       bin::AppendU8(st.in_excursion ? 1 : 0, payload);
       bin::AppendU64Le(st.pushes_since_explained, payload);

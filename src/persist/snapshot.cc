@@ -35,14 +35,15 @@ void SnapshotWriter::EndSection() {
   section_open_ = false;
   // The CRC covers the framed bytes (id + length + payload), so a flipped
   // bit anywhere in the record — framing included — is detected by the
-  // section it lands in.
-  std::string framed;
-  framed.reserve(12 + payload_.size());
-  bin::AppendU32Le(section_id_, &framed);
-  bin::AppendU64Le(static_cast<uint64_t>(payload_.size()), &framed);
-  framed.append(payload_);
-  out_->append(framed);
-  bin::AppendU32Le(Crc32c(framed), out_);
+  // section it lands in. The record is framed in place on the output and
+  // checksummed there: the payload is copied once.
+  const size_t record_begin = out_->size();
+  bin::AppendU32Le(section_id_, out_);
+  bin::AppendU64Le(static_cast<uint64_t>(payload_.size()), out_);
+  out_->append(payload_);
+  const uint32_t crc = ExtendCrc32c(0, out_->data() + record_begin,
+                                    out_->size() - record_begin);
+  bin::AppendU32Le(crc, out_);
 }
 
 Result<SnapshotReader> SnapshotReader::Open(std::string_view bytes,
@@ -102,13 +103,10 @@ Status SnapshotReader::Next(SnapshotSection* section, bool* done) {
         "%s: snapshot truncated before the CRC of section %u",
         what_.c_str(), id));
   }
-  // Recompute over the framed bytes exactly as the writer hashed them.
-  std::string framed;
-  framed.reserve(12 + payload.size());
-  bin::AppendU32Le(id, &framed);
-  bin::AppendU64Le(length, &framed);
-  framed.append(payload);
-  const uint32_t computed = Crc32c(framed);
+  // Recompute over the framed bytes exactly as the writer hashed them;
+  // they sit contiguously in the input, so no copy is needed.
+  const uint32_t computed =
+      Crc32c(bytes_.substr(record_begin, 12 + payload.size()));
   if (computed != stored_crc) {
     return Status::InvalidArgument(StrFormat(
         "%s: section %u CRC32C mismatch (stored %08x, computed %08x)",

@@ -119,8 +119,9 @@ class SnapshotReader {
 
  private:
   SnapshotReader(std::string_view bytes, std::string what)
-      : reader_(bytes), what_(std::move(what)) {}
+      : bytes_(bytes), reader_(bytes), what_(std::move(what)) {}
 
+  std::string_view bytes_;  // the whole input; CRCs are taken in place
   bin::Reader reader_;
   std::string what_;
   uint32_t version_ = 0;

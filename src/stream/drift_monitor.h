@@ -164,8 +164,9 @@ struct DriftEvent {
 
 /// Bit-identity over the deterministic DriftEvent fields (stream, tick,
 /// detector statistic, explanation size/indices, status code); wall times
-/// inside the reports are ignored. The parallel/sequential comparison of
-/// bench_stream_monitor and the determinism tests both use this.
+/// inside the reports are ignored. The determinism tests (parallel vs
+/// sequential, snapshot round trips) and monitor_bench's shadow check use
+/// this.
 bool SameEventLogs(const std::vector<DriftEvent>& a,
                    const std::vector<DriftEvent>& b);
 

@@ -274,14 +274,15 @@ PreparedReferenceCache::InternRestoredSketched(
 
 bool PreparedReferenceCache::FindOriginal(const PreparedReference* prepared,
                                           std::vector<double>* original,
-                                          double* alpha) const {
+                                          double* alpha,
+                                          uint64_t* fingerprint) const {
   MutexLock lock(&mutex_);
-  for (const auto& [fingerprint, bucket] : entries_) {
-    (void)fingerprint;
+  for (const auto& [key, bucket] : entries_) {
     for (const Entry& entry : bucket) {
       if (entry.prepared.get() == prepared) {
         *original = entry.original;
         *alpha = entry.alpha;
+        *fingerprint = key;
         return true;
       }
     }

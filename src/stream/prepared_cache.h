@@ -127,11 +127,14 @@ class PreparedReferenceCache {
 
   /// Reverse lookup for checkpointing: finds the interned entry whose
   /// shared PreparedReference is exactly `prepared` (pointer identity) and
-  /// copies out the original unsorted key sequence and alpha. Returns false
-  /// when `prepared` was not interned here. O(entries) — checkpointing is
-  /// off the hot path.
+  /// copies out the original unsorted key sequence, alpha, and the
+  /// ReferenceFingerprint the entry is keyed by (computed when the
+  /// reference was interned, so no hash runs here). Returns false when
+  /// `prepared` was not interned here. O(entries) plus one copy of the
+  /// sequence; a checkpoint calls it once per distinct reference.
   bool FindOriginal(const PreparedReference* prepared,
-                    std::vector<double>* original, double* alpha) const;
+                    std::vector<double>* original, double* alpha,
+                    uint64_t* fingerprint) const;
 
   Stats stats() const;
 

@@ -36,16 +36,35 @@ inline void AppendU8(uint8_t v, std::string* out) {
   out->push_back(static_cast<char>(v));
 }
 
-inline void AppendU32Le(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+/// Writes the 8 little-endian bytes of `v` to `dst` by shift-and-mask on
+/// the value, so the bytes never depend on host byte order.
+inline void StoreU64Le(uint64_t v, char* dst) {
+  for (int i = 0; i < 8; ++i) {
+    dst[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
   }
 }
 
-inline void AppendU64Le(uint64_t v, std::string* out) {
+/// Inverse of StoreU64Le.
+inline uint64_t LoadU64Le(const char* src) {
+  uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(src[i])) << (8 * i);
   }
+  return v;
+}
+
+inline void AppendU32Le(uint32_t v, std::string* out) {
+  char bytes[4];
+  for (int i = 0; i < 4; ++i) {
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+  }
+  out->append(bytes, 4);
+}
+
+inline void AppendU64Le(uint64_t v, std::string* out) {
+  char bytes[8];
+  StoreU64Le(v, bytes);
+  out->append(bytes, 8);
 }
 
 /// The IEEE-754 bit pattern of `v` as an integer (value-preserving on any
@@ -75,11 +94,18 @@ inline void AppendString(std::string_view s, std::string* out) {
   out->append(s.data(), s.size());
 }
 
-/// u64 count + bit-exact doubles.
+/// u64 count + bit-exact doubles: the same bytes as AppendDoubleLe per
+/// element, written after one resize of `out`.
 inline void AppendDoubleArray(const std::vector<double>& values,
                               std::string* out) {
   AppendU64Le(static_cast<uint64_t>(values.size()), out);
-  for (double v : values) AppendDoubleLe(v, out);
+  const size_t begin = out->size();
+  out->resize(begin + 8 * values.size());
+  char* dst = out->data() + begin;
+  for (double v : values) {
+    StoreU64Le(DoubleBits(v), dst);
+    dst += 8;
+  }
 }
 
 /// Bounds-checked cursor over an untrusted byte buffer. Every reader
@@ -113,13 +139,8 @@ class Reader {
 
   bool ReadU64Le(uint64_t* out) {
     if (remaining() < 8) return false;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + static_cast<size_t>(i)]))
-           << (8 * i);
-    }
+    *out = LoadU64Le(bytes_.data() + pos_);
     pos_ += 8;
-    *out = v;
     return true;
   }
 
@@ -145,8 +166,9 @@ class Reader {
     return true;
   }
 
-  /// Count-prefixed double array; the count is capped by remaining()/8
-  /// before the output vector is sized, so a corrupted count cannot OOM.
+  /// Count-prefixed double array, replacing `*out`; the count is capped by
+  /// remaining()/8 before the output vector is sized, so a corrupted count
+  /// cannot OOM.
   bool ReadDoubleArray(std::vector<double>* out) {
     uint64_t count = 0;
     const size_t mark = pos_;
@@ -155,13 +177,13 @@ class Reader {
       pos_ = mark;
       return false;
     }
-    out->clear();
-    out->reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-      double v = 0.0;
-      ReadDoubleLe(&v);  // cannot fail: count * 8 <= remaining was checked
-      out->push_back(v);
+    out->resize(static_cast<size_t>(count));
+    const char* src = bytes_.data() + pos_;
+    for (double& v : *out) {
+      v = DoubleFromBits(LoadU64Le(src));
+      src += 8;
     }
+    pos_ += 8 * static_cast<size_t>(count);
     return true;
   }
 

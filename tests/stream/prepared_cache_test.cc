@@ -178,18 +178,42 @@ TEST(PreparedReferenceCacheTest, FindOriginalRecoversTheUnsortedKey) {
 
   std::vector<double> original;
   double alpha = 0.0;
-  ASSERT_TRUE(cache.FindOriginal(a->get(), &original, &alpha));
+  uint64_t fingerprint = 0;
+  ASSERT_TRUE(cache.FindOriginal(a->get(), &original, &alpha, &fingerprint));
   EXPECT_EQ(original, ref_a);  // the raw sequence, not the sorted one
   EXPECT_EQ(alpha, 0.05);
-  ASSERT_TRUE(cache.FindOriginal(b->get(), &original, &alpha));
+  // The key the entry was interned under, i.e. the snapshot shard hash.
+  EXPECT_EQ(fingerprint, ReferenceFingerprint(ref_a, 0.05));
+  ASSERT_TRUE(cache.FindOriginal(b->get(), &original, &alpha, &fingerprint));
   EXPECT_EQ(original, ref_b);
   EXPECT_EQ(alpha, 0.01);
+  EXPECT_EQ(fingerprint, ReferenceFingerprint(ref_b, 0.01));
 
   // Pointer identity, not value equality: an equal reference prepared
   // outside the cache is not interned here.
   auto foreign = engine.Prepare(ref_a, 0.05);
   ASSERT_TRUE(foreign.ok());
-  EXPECT_FALSE(cache.FindOriginal(&*foreign, &original, &alpha));
+  EXPECT_FALSE(
+      cache.FindOriginal(&*foreign, &original, &alpha, &fingerprint));
+}
+
+TEST(PreparedReferenceCacheTest, FindOriginalFingerprintOfARestoredEntry) {
+  // Entries interned by a restore are keyed the same way as live ones, so a
+  // re-checkpoint shards them exactly as the original checkpoint did.
+  Moche engine;
+  PreparedReferenceCache cache;
+  const std::vector<double> ref{-0.0, 4.0, 2.0};
+  auto prepared = engine.Prepare(ref, 0.05);
+  ASSERT_TRUE(prepared.ok());
+  auto restored = cache.InternRestored(ref, 0.05, std::move(*prepared));
+  ASSERT_TRUE(restored.ok());
+  std::vector<double> original;
+  double alpha = 0.0;
+  uint64_t fingerprint = 0;
+  ASSERT_TRUE(
+      cache.FindOriginal(restored->get(), &original, &alpha, &fingerprint));
+  EXPECT_EQ(fingerprint, ReferenceFingerprint(ref, 0.05));
+  EXPECT_EQ(fingerprint, ReferenceFingerprint({0.0, 4.0, 2.0}, 0.05));
 }
 
 TEST(PreparedReferenceCacheTest, BoundedCacheEvictsLeastRecentlyUsed) {

@@ -156,6 +156,79 @@ TEST(BinaryIoTest, ReadBytesAndSkipBoundsCheck) {
   EXPECT_TRUE(reader.AtEnd());
 }
 
+TEST(BinaryIoTest, DoubleArrayBytesEqualPerElementAppendsAfterAPrefix) {
+  // The bulk writer resizes the output once; it must still append after
+  // whatever the string already holds, byte for byte as the per-value path.
+  const std::vector<double> values = {1.5, -0.0, 3.0e-310, -2.25,
+                                      std::numeric_limits<double>::max()};
+  std::string bulk = "prefix";
+  AppendDoubleArray(values, &bulk);
+  std::string per_element = "prefix";
+  AppendU64Le(values.size(), &per_element);
+  for (double v : values) AppendDoubleLe(v, &per_element);
+  EXPECT_EQ(bulk, per_element);
+
+  std::string empty = "xy";
+  AppendDoubleArray({}, &empty);
+  EXPECT_EQ(empty, std::string("xy") + std::string(8, '\0'));
+}
+
+TEST(BinaryIoTest, ReadDoubleArrayReplacesANonEmptyOutput) {
+  std::string out;
+  AppendDoubleArray({4.0, 5.0}, &out);
+  AppendDoubleArray({}, &out);
+  Reader reader(out);
+  std::vector<double> values = {9.0, 9.0, 9.0, 9.0, 9.0};
+  ASSERT_TRUE(reader.ReadDoubleArray(&values));
+  EXPECT_EQ(values, (std::vector<double>{4.0, 5.0}));
+  ASSERT_TRUE(reader.ReadDoubleArray(&values));
+  EXPECT_TRUE(values.empty());
+  EXPECT_TRUE(reader.AtEnd());
+}
+
+TEST(BinaryIoTest, DoubleArrayRoundTripsSpecialBitPatternsExactly) {
+  const std::vector<uint64_t> bit_patterns = {
+      0x0000000000000000ull,  // +0.0
+      0x8000000000000000ull,  // -0.0
+      0x0000000000000001ull,  // smallest denormal
+      0x800FFFFFFFFFFFFFull,  // largest negative denormal
+      0x7FF8000000000123ull,  // quiet NaN with a payload
+      0xFFF8000000000456ull,  // negative quiet NaN with a payload
+      0x7FF0000000000001ull,  // signaling NaN bit pattern
+      0x7FF0000000000000ull,  // +inf
+      0xFFF0000000000000ull,  // -inf
+  };
+  std::vector<double> values;
+  for (uint64_t bits : bit_patterns) values.push_back(DoubleFromBits(bits));
+  std::string out;
+  AppendDoubleArray(values, &out);
+  Reader reader(out);
+  std::vector<double> back;
+  ASSERT_TRUE(reader.ReadDoubleArray(&back));
+  ASSERT_EQ(back.size(), bit_patterns.size());
+  for (size_t i = 0; i < back.size(); ++i) {
+    EXPECT_EQ(DoubleBits(back[i]), bit_patterns[i]) << "value " << i;
+  }
+}
+
+TEST(BinaryIoTest, TruncatedDoubleArrayLeavesOutputAndCursorUntouched) {
+  std::string out;
+  AppendU8(0x7E, &out);
+  AppendDoubleArray({1.0, 2.0, 3.0}, &out);
+  const std::vector<double> sentinel = {7.0, 8.0};
+  // Cut inside the count, then inside the last value: both must fail with
+  // the cursor where it stood (past the u8) and the vector as it was.
+  for (size_t cut : {size_t{1} + 5, out.size() - 1}) {
+    Reader reader(std::string_view(out).substr(0, cut));
+    uint8_t u8 = 0;
+    ASSERT_TRUE(reader.ReadU8(&u8));
+    std::vector<double> values = sentinel;
+    EXPECT_FALSE(reader.ReadDoubleArray(&values)) << "cut " << cut;
+    EXPECT_EQ(values, sentinel) << "cut " << cut;
+    EXPECT_EQ(reader.pos(), 1u) << "cut " << cut;
+  }
+}
+
 }  // namespace
 }  // namespace bin
 }  // namespace moche
