@@ -10,7 +10,11 @@
 // PushTick calls — and fails if SameEventLogs distinguishes any pair. It
 // also cross-checks RecheckWindows against from-scratch ks::Run on
 // mirrored windows, batch-rejection atomicity (a NaN batch must not
-// advance any tick), and the stats counters.
+// advance any tick), and the stats counters. Streams may reuse an earlier
+// stream's reference; every monitor's intern table must then hold exactly
+// one entry per distinct (reference, alpha) — the small tied alphabets
+// make same-size near-twin references common, so the lookup key's exact
+// compare decides many of these.
 
 #include <algorithm>
 #include <cmath>
@@ -67,8 +71,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::vector<std::vector<double>> references(streams);
   std::vector<size_t> window_sizes(streams);
   for (size_t s = 0; s < streams; ++s) {
-    const size_t n = in.SizeInRange(4, 24);
-    in.TiedArray(n, alphabet, &references[s]);
+    if (s > 0 && in.Byte() % 4 == 0) {
+      references[s] = references[in.SizeInRange(0, s - 1)];
+    } else {
+      const size_t n = in.SizeInRange(4, 24);
+      in.TiedArray(n, alphabet, &references[s]);
+    }
     window_sizes[s] = in.SizeInRange(2, 10);
     for (DriftMonitor* monitor : {&coarse, &fine, &ticked}) {
       auto index = monitor->AddStream("s" + std::to_string(s), references[s],
@@ -90,6 +98,24 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       if (drifted_regime) v += static_cast<double>(alphabet) + 1.0;
       sequence[s].push_back(v);
     }
+  }
+
+  // One intern entry per distinct reference (alpha is the monitor's), and
+  // every repeat is a hit.
+  size_t distinct = 0;
+  for (size_t s = 0; s < streams; ++s) {
+    distinct += std::find(references.begin(),
+                          references.begin() + static_cast<ptrdiff_t>(s),
+                          references[s]) ==
+                references.begin() + static_cast<ptrdiff_t>(s);
+  }
+  for (const DriftMonitor* monitor : {&coarse, &fine, &ticked}) {
+    const auto cache = monitor->cache_stats();
+    MOCHE_FUZZ_CHECK(cache.entries == distinct && cache.misses == distinct &&
+                         cache.hits == streams - distinct,
+                     "intern table holds %zu entries (%zu hits) for %zu "
+                     "distinct of %zu references",
+                     cache.entries, cache.hits, distinct, streams);
   }
 
   // A malformed batch (wrong stream count, then a NaN) must reject without

@@ -13,6 +13,11 @@
 // formula, same operands), the window contents exactly, and the reject
 // decisions may only differ when the batch statistic sits within tolerance
 // of the threshold.
+//
+// A byte-chosen step also checkpoints the detector (SerializeStateTo ->
+// DeserializeState), mid-fill or on a full ring. The restored detector,
+// whose treap is built in one pass rather than replayed, is then fed every
+// later push and must match the live one bit for bit at every step.
 
 #include <algorithm>
 #include <cmath>
@@ -20,12 +25,16 @@
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fuzz_target.h"
 #include "ks/ks_test.h"
 #include "ks/streaming.h"
 #include "provider.h"
+#include "util/binary_io.h"
 
 namespace {
 
@@ -83,6 +92,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   MOCHE_FUZZ_CHECK(twin.ok(), "CreateOverSorted rejected a valid config: %s",
                    twin.status().message().c_str());
 
+  std::optional<moche::StreamingKs> restored;  // from the last checkpoint
   std::deque<double> mirror;
   const size_t pushes = in.SizeInRange(0, 160);
   for (size_t step = 0; step < pushes; ++step) {
@@ -96,13 +106,44 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                        "rejected push mutated the window");
     }
 
+    if (in.Byte() % 8 == 0) {
+      std::string bytes;
+      stream->SerializeStateTo(&bytes);
+      moche::bin::Reader reader(bytes);
+      auto back = moche::StreamingKs::DeserializeState(sorted, &reader);
+      MOCHE_FUZZ_CHECK(back.ok() && reader.AtEnd(),
+                       "step %zu: restore of a live checkpoint failed", step);
+      std::string again;
+      back->SerializeStateTo(&again);
+      MOCHE_FUZZ_CHECK(again == bytes,
+                       "step %zu: restored state re-serializes differently",
+                       step);
+      if (stream->WindowFull()) {
+        auto live_outcome = stream->CurrentOutcome();
+        auto restored_outcome = back->CurrentOutcome();
+        MOCHE_FUZZ_CHECK(live_outcome.ok() && restored_outcome.ok() &&
+                             SameBits(restored_outcome->statistic,
+                                      live_outcome->statistic),
+                         "step %zu: freshly restored detector diverged",
+                         step);
+      }
+      restored.emplace(std::move(*back));
+    }
+
     // Values from the same alphabet as the reference so evictions hit the
-    // equal-key treap paths constantly.
-    const double v = in.Bool()
-                         ? static_cast<double>(in.IntInRange(0, alphabet))
+    // equal-key treap paths constantly; an alphabet zero may come signed,
+    // so -0.0 and +0.0 share one treap key.
+    double v = in.Bool() ? static_cast<double>(in.IntInRange(0, alphabet))
                          : in.FiniteValue();
+    if (v == 0.0 && in.Bool()) v = -v;
     MOCHE_FUZZ_CHECK(stream->Push(v).ok(), "Push rejected a finite value");
     MOCHE_FUZZ_CHECK(twin->Push(v).ok(), "twin Push rejected a finite value");
+    if (restored.has_value()) {
+      MOCHE_FUZZ_CHECK(restored->Push(v).ok(),
+                       "restored Push rejected a finite value");
+      MOCHE_FUZZ_CHECK(restored->WindowContents() == stream->WindowContents(),
+                       "restored window diverged at step %zu", step);
+    }
     mirror.push_back(v);
     if (mirror.size() > window) mirror.pop_front();
 
@@ -132,6 +173,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     MOCHE_FUZZ_CHECK(twin_outcome.ok() &&
                          SameBits(twin_outcome->statistic, exact),
                      "step %zu: CreateOverSorted twin diverged", step);
+    if (restored.has_value()) {
+      auto restored_outcome = restored->CurrentOutcome();
+      MOCHE_FUZZ_CHECK(
+          restored_outcome.ok() &&
+              SameBits(restored_outcome->statistic, exact) &&
+              SameBits(restored_outcome->threshold, incremental->threshold) &&
+              restored_outcome->reject == incremental->reject,
+          "step %zu: restored detector diverged from the live one", step);
+    }
     MOCHE_FUZZ_CHECK(
         std::fabs(incremental->statistic - batch->statistic) <= kTightTol,
         "step %zu: incremental D %.17g vs batch D %.17g", step,

@@ -80,6 +80,52 @@ class StreamingKs::Treap {
     root_ = Merge(Merge(less, equal), greater);
   }
 
+  // Builds the treap of a restored window from `sorted`, the window's
+  // values in ascending order, in one pass instead of an Insert per value:
+  // each distinct key's scores come straight from one equal_range in the
+  // sorted `reference` and the running window count, equal to what
+  // replaying the window would leave. Priorities are drawn in key order
+  // and the nodes hung on a rightmost-spine stack (a Cartesian-tree build),
+  // so only the tree shape differs from a replay. O(D log n) for D
+  // distinct keys. Requires an empty treap.
+  void BuildSorted(const std::vector<double>& sorted,
+                   const std::vector<double>& reference, int64_t n,
+                   int64_t m) {
+    MOCHE_DCHECK(root_ == nullptr);
+    std::vector<Node*> spine;  // root first; priorities ascend upward
+    int64_t below = 0;         // C_W(< key)
+    for (size_t i = 0; i < sorted.size();) {
+      const double key = sorted[i];
+      size_t end = i + 1;
+      while (end < sorted.size() && sorted[end] == key) ++end;
+      const auto [lo, hi] =
+          std::equal_range(reference.begin(), reference.end(), key);
+      Node* node = Acquire();
+      node->key = key;
+      node->pri = NextPriority();
+      node->count = static_cast<int64_t>(end - i);
+      node->lt = m * (lo - reference.begin()) - n * below;
+      below += node->count;
+      node->le = m * (hi - reference.begin()) - n * below;
+      // Spine nodes that lose the heap order to `node` become its left
+      // subtree. No later node lands below them, so they are final and
+      // aggregate now — deepest first, so children pull before parents.
+      Node* left = nullptr;
+      while (!spine.empty() && spine.back()->pri > node->pri) {
+        left = spine.back();
+        spine.pop_back();
+        Pull(left);
+      }
+      node->l = left;
+      if (!spine.empty()) spine.back()->r = node;
+      spine.push_back(node);
+      i = end;
+    }
+    if (spine.empty()) return;
+    root_ = spine.front();
+    for (auto it = spine.rbegin(); it != spine.rend(); ++it) Pull(*it);
+  }
+
   int64_t MaxAbsScore() const {
     if (root_ == nullptr) return 0;
     return std::max(std::abs(ScoreMax(root_)), std::abs(ScoreMin(root_)));
@@ -316,18 +362,29 @@ Result<StreamingKs> StreamingKs::DeserializeState(
         "streaming detector: snapshot truncated inside the window ring");
   }
   // Re-validates the reference, window size (incl. the score bound) and
-  // alpha; then replaying the ring in arrival order rebuilds the treap
-  // (scores are a pure function of the multisets; priorities only shape
-  // the tree). The ring is sized to what the snapshot holds.
+  // alpha. The ring is sized to what the snapshot holds and laid out in
+  // arrival order (head 0); every value is checked finite before any score
+  // is computed from it.
   MOCHE_RETURN_IF_ERROR(ValidateShared(sorted_reference, window_size, alpha));
   StreamingKs stream(std::move(sorted_reference),
                      static_cast<size_t>(window_size), alpha);
-  stream.window_.reserve(static_cast<size_t>(window_count));
-  for (uint64_t i = 0; i < window_count; ++i) {
-    double value = 0.0;
+  stream.window_.resize(static_cast<size_t>(window_count));
+  for (double& value : stream.window_) {
     reader->ReadDoubleLe(&value);  // bounded above; cannot fail
-    MOCHE_RETURN_IF_ERROR(stream.Push(value));
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument(
+          "streaming detector: snapshot window holds a non-finite value");
+    }
   }
+  // Scores are a pure function of the reference and window multisets, so
+  // the treap is built from one sorted copy of the window rather than by
+  // replaying it through Push.
+  std::vector<double> sorted = stream.window_;
+  // moche-lint: allow(sort-doubles): every value was checked finite above
+  std::sort(sorted.begin(), sorted.end());
+  stream.treap_->BuildSorted(sorted, *stream.reference_,
+                             static_cast<int64_t>(n),
+                             static_cast<int64_t>(window_size));
   return stream;
 }
 

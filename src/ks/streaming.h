@@ -118,20 +118,23 @@ class StreamingKs {
   /// (bit-exact), and the surviving window observations in arrival order —
   /// O(w) values. The treap is deliberately NOT serialized: its scores are
   /// a pure function of the reference and the window contents, so
-  /// DeserializeState rebuilds it deterministically (src/persist's
-  /// snapshot hook; docs/SNAPSHOT.md).
+  /// DeserializeState rebuilds it (src/persist's snapshot hook;
+  /// docs/SNAPSHOT.md).
   void SerializeStateTo(std::string* out) const;
 
   /// Inverse of SerializeStateTo over an untrusted buffer, binding the
   /// restored detector to `sorted_reference` (CreateOverSorted's contract)
   /// — the same multiset the serialized detector was created over. Size
   /// and alpha are cross-checked against the snapshot, kMaxScoreProduct is
-  /// enforced, and every window value is re-validated, so a corrupted
-  /// snapshot fails with a Status instead of poisoning the score
-  /// arithmetic. Allocates only for the observations the snapshot holds
-  /// (a ring that is not yet full grows as it fills), never for the
-  /// declared capacity. The restored detector's CurrentOutcome is
-  /// bit-identical to the serialized one's.
+  /// enforced, and every window value must be finite, so a corrupted
+  /// snapshot fails with InvalidArgument instead of poisoning the score
+  /// arithmetic. The treap is built in one pass from a sorted copy of the
+  /// window — O(w log w + D log n) for D distinct window values, not a
+  /// Push per value. Allocates only for the observations the snapshot
+  /// holds (a ring that is not yet full grows as it fills), never for the
+  /// declared capacity. The restored detector's CurrentOutcome, and every
+  /// outcome after further pushes, is bit-identical to the serialized
+  /// one's; only the treap's shape differs.
   static Result<StreamingKs> DeserializeState(
       std::shared_ptr<const std::vector<double>> sorted_reference,
       bin::Reader* reader);

@@ -273,7 +273,6 @@ struct RestoredStream {
 
 // One interned reference of a shard's reference table.
 struct RestoredReference {
-  std::vector<double> original;
   std::shared_ptr<const PreparedReference> prepared;
   std::shared_ptr<const sketch::SketchedReference> sketched;  // kSketched
 };
@@ -327,10 +326,12 @@ Status ParseShard(const std::string& bytes, uint32_t shard_index,
       return Status::OutOfRange(
           StrFormat("%s: reference table truncated", what.c_str()));
     }
+    // Reused across entries: the cache copies a key only into a new entry.
+    std::vector<double> original;
     for (uint64_t i = 0; i < count; ++i) {
       RestoredReference ref;
       double alpha = 0.0;
-      if (!r.ReadDoubleArray(&ref.original) || !r.ReadDoubleLe(&alpha)) {
+      if (!r.ReadDoubleArray(&original) || !r.ReadDoubleLe(&alpha)) {
         return Status::OutOfRange(StrFormat(
             "%s: reference table truncated in entry %llu", what.c_str(),
             static_cast<unsigned long long>(i)));
@@ -344,7 +345,7 @@ Status ParseShard(const std::string& bytes, uint32_t shard_index,
                              PreparedReference::DeserializeFrom(&r));
       MOCHE_ASSIGN_OR_RETURN(
           ref.prepared,
-          cache->InternRestored(ref.original, alpha, std::move(prepared)));
+          cache->InternRestored(original, alpha, std::move(prepared)));
       if (reader.version() >= 2 &&
           manifest.options.reference_mode == ReferenceMode::kSketched) {
         MOCHE_ASSIGN_OR_RETURN(sketch::SketchedReference sketched,
@@ -358,7 +359,7 @@ Status ParseShard(const std::string& bytes, uint32_t shard_index,
         }
         MOCHE_ASSIGN_OR_RETURN(
             ref.sketched,
-            cache->InternRestoredSketched(ref.original, alpha,
+            cache->InternRestoredSketched(original, alpha,
                                           std::move(sketched)));
       }
       refs.push_back(std::move(ref));

@@ -13,9 +13,12 @@
 // Reference modes (MonitorOptions::reference_mode): in the default kExact
 // mode every stream owns a StreamingKs detector whose order-statistic
 // treap holds only the window and reads reference ranks from the interned
-// sorted sample, shared through an aliasing shared_ptr — O(w) memory and
-// O(w) AddStream per stream once the reference is interned, O(log n +
-// log w) per push. kSketched instead judges windows against one shared
+// sorted sample, shared through an aliasing shared_ptr — O(w) memory per
+// stream and O(log n + log w) per push. AddStream costs O(n + w) once the
+// reference is interned: the cache hashes the n values (one four-lane
+// pass) and compares them with the interned copy; only the
+// first sight of a reference pays the O(n log n) sort and the serial
+// FNV-1a wire hash. kSketched instead judges windows against one shared
 // KLL summary of the reference (sketch::SketchedReference,
 // O(sketch_k * log(n/sketch_k)) memory per *fleet*): each stream keeps
 // only its window ring, and every full-window push is triaged through
@@ -201,12 +204,14 @@ class DriftMonitor {
   /// Registers a stream with the given window capacity, bound to the
   /// interned PreparedReference for (reference, options.alpha). In kExact
   /// mode the stream also builds a StreamingKs over that entry's sorted
-  /// sample (shared, not copied: O(w) once the reference is interned); in
+  /// sample (shared, not copied); in
   /// kSketched mode it instead shares the interned KLL summary (built once
   /// per distinct reference at capacity sketch_k) and holds only a window
   /// ring. Either way the window ring is reserved in full up front.
   /// Returns the stream index. Streams sharing a reference
-  /// sort/validate/sketch it once (see PreparedReferenceCache).
+  /// sort/validate/sketch it once (see PreparedReferenceCache); a call
+  /// whose reference is already interned costs O(n + w) — one hash pass
+  /// and one exact compare over the reference.
   /// InvalidArgument (cache untouched) when window_size is 0 or
   /// reference.size() * window_size exceeds StreamingKs::kMaxScoreProduct.
   Result<size_t> AddStream(std::string name,

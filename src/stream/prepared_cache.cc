@@ -33,6 +33,46 @@ inline uint64_t CanonicalDoubleBits(double v) {
   return bin::DoubleBits(v == 0.0 ? 0.0 : v);
 }
 
+// One lane step of the lookup key: fold a word in, then multiply by an
+// odd constant and xorshift so every input bit reaches the whole state.
+inline uint64_t LaneStep(uint64_t lane, uint64_t word) {
+  lane = (lane ^ word) * 0x9E3779B97F4A7C15ull;
+  return lane ^ (lane >> 32);
+}
+
+// SplitMix64's output finalizer.
+inline uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+// The cache's private lookup key of (values, alpha), over the same
+// zero-canonicalized words as ReferenceFingerprint. Value i feeds lane
+// i % 4, so four independent multiply chains overlap in the pipeline where
+// FNV-1a waits on one multiply per byte: a hit costs one memory-speed pass.
+// Never persisted, so it can change freely; equality is still decided by
+// FindEntryLocked's exact compare.
+uint64_t LookupKey(const std::vector<double>& values, double alpha) {
+  uint64_t lane[4] = {0x243F6A8885A308D3ull, 0x13198A2E03707344ull,
+                      0xA4093822299F31D0ull, 0x082EFA98EC4E6C89ull};
+  const size_t n = values.size();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    lane[0] = LaneStep(lane[0], CanonicalDoubleBits(values[i]));
+    lane[1] = LaneStep(lane[1], CanonicalDoubleBits(values[i + 1]));
+    lane[2] = LaneStep(lane[2], CanonicalDoubleBits(values[i + 2]));
+    lane[3] = LaneStep(lane[3], CanonicalDoubleBits(values[i + 3]));
+  }
+  for (; i < n; ++i) {
+    lane[i % 4] = LaneStep(lane[i % 4], CanonicalDoubleBits(values[i]));
+  }
+  uint64_t key = Mix64(static_cast<uint64_t>(n));
+  key = Mix64(key ^ CanonicalDoubleBits(alpha));
+  for (uint64_t word : lane) key = Mix64(key ^ word);
+  return key;
+}
+
 }  // namespace
 
 uint64_t ReferenceFingerprint(const std::vector<double>& values,
@@ -51,9 +91,8 @@ uint64_t ReferenceFingerprint(const std::vector<double>& values,
 }
 
 PreparedReferenceCache::Entry* PreparedReferenceCache::FindEntryLocked(
-    uint64_t fingerprint, const std::vector<double>& reference,
-    double alpha) {
-  auto it = entries_.find(fingerprint);
+    uint64_t key, const std::vector<double>& reference, double alpha) {
+  auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
   for (Entry& entry : it->second) {
     if (entry.alpha == alpha && entry.original == reference) {
@@ -65,21 +104,23 @@ PreparedReferenceCache::Entry* PreparedReferenceCache::FindEntryLocked(
 }
 
 PreparedReferenceCache::Entry* PreparedReferenceCache::InsertEntryLocked(
-    uint64_t fingerprint, std::vector<double> reference, double alpha) {
+    uint64_t key, uint64_t fingerprint, const std::vector<double>& reference,
+    double alpha) {
   EvictIfOverCapacityLocked();
-  std::vector<Entry>& bucket = entries_[fingerprint];
+  std::vector<Entry>& bucket = entries_[key];
   bucket.push_back(Entry{});
   Entry& entry = bucket.back();
-  entry.original = std::move(reference);
+  entry.original = reference;
   entry.alpha = alpha;
+  entry.fingerprint = fingerprint;
   entry.last_used = ++use_clock_;
   return &entry;
 }
 
 size_t PreparedReferenceCache::CountEntriesLocked() const {
   size_t count = 0;
-  for (const auto& [fingerprint, bucket] : entries_) {
-    (void)fingerprint;
+  for (const auto& [key, bucket] : entries_) {
+    (void)key;
     count += bucket.size();
   }
   return count;
@@ -124,26 +165,31 @@ Result<std::shared_ptr<const PreparedReference>>
 PreparedReferenceCache::GetOrPrepare(const Moche& engine,
                                      const std::vector<double>& reference,
                                      double alpha) {
-  const uint64_t fingerprint = ReferenceFingerprint(reference, alpha);
+  const uint64_t key = LookupKey(reference, alpha);
+  bool interned = false;  // an entry exists, holding only a sketch
   {
     MutexLock lock(&mutex_);
-    Entry* entry = FindEntryLocked(fingerprint, reference, alpha);
+    Entry* entry = FindEntryLocked(key, reference, alpha);
     if (entry != nullptr && entry->prepared != nullptr) {
       ++hits_;
       return entry->prepared;
     }
+    interned = entry != nullptr;
   }
 
   // Prepare outside the lock: sorting a large reference must not serialize
   // unrelated lookups. A racing same-key Prepare is benign — the second
-  // insert sees the first entry and adopts it.
+  // insert sees the first entry and adopts it. A reference new to the
+  // table also gets its wire hash here, once, beside the sort.
   auto prepared = engine.Prepare(reference, alpha);
   if (!prepared.ok()) return prepared.status();
   auto shared = std::make_shared<const PreparedReference>(
       std::move(prepared).value());
+  uint64_t fingerprint =
+      interned ? 0 : ReferenceFingerprint(reference, alpha);
 
   MutexLock lock(&mutex_);
-  Entry* entry = FindEntryLocked(fingerprint, reference, alpha);
+  Entry* entry = FindEntryLocked(key, reference, alpha);
   if (entry != nullptr) {
     if (entry->prepared != nullptr) {
       ++hits_;
@@ -156,7 +202,9 @@ PreparedReferenceCache::GetOrPrepare(const Moche& engine,
     return shared;
   }
   ++misses_;
-  InsertEntryLocked(fingerprint, reference, alpha)->prepared = shared;
+  // The sketch-only entry seen above was evicted in between (rare).
+  if (interned) fingerprint = ReferenceFingerprint(reference, alpha);
+  InsertEntryLocked(key, fingerprint, reference, alpha)->prepared = shared;
   return shared;
 }
 
@@ -164,10 +212,11 @@ Result<std::shared_ptr<const sketch::SketchedReference>>
 PreparedReferenceCache::GetOrSketch(const std::vector<double>& reference,
                                     double alpha,
                                     const sketch::KllOptions& options) {
-  const uint64_t fingerprint = ReferenceFingerprint(reference, alpha);
+  const uint64_t key = LookupKey(reference, alpha);
+  bool interned = false;  // an entry exists, holding only the exact form
   {
     MutexLock lock(&mutex_);
-    Entry* entry = FindEntryLocked(fingerprint, reference, alpha);
+    Entry* entry = FindEntryLocked(key, reference, alpha);
     if (entry != nullptr && entry->sketched != nullptr) {
       if (entry->sketched->sketch_capacity() != options.capacity) {
         return Status::InvalidArgument(StrFormat(
@@ -177,6 +226,7 @@ PreparedReferenceCache::GetOrSketch(const std::vector<double>& reference,
       ++hits_;
       return entry->sketched;
     }
+    interned = entry != nullptr;
   }
 
   // Build outside the lock (one O(n) pass over the sample), same rationale
@@ -186,9 +236,11 @@ PreparedReferenceCache::GetOrSketch(const std::vector<double>& reference,
   if (!built.ok()) return built.status();
   auto shared = std::make_shared<const sketch::SketchedReference>(
       std::move(built).value());
+  uint64_t fingerprint =
+      interned ? 0 : ReferenceFingerprint(reference, alpha);
 
   MutexLock lock(&mutex_);
-  Entry* entry = FindEntryLocked(fingerprint, reference, alpha);
+  Entry* entry = FindEntryLocked(key, reference, alpha);
   if (entry != nullptr) {
     if (entry->sketched != nullptr) {
       if (entry->sketched->sketch_capacity() != options.capacity) {
@@ -204,12 +256,13 @@ PreparedReferenceCache::GetOrSketch(const std::vector<double>& reference,
     return shared;
   }
   ++misses_;
-  InsertEntryLocked(fingerprint, reference, alpha)->sketched = shared;
+  if (interned) fingerprint = ReferenceFingerprint(reference, alpha);
+  InsertEntryLocked(key, fingerprint, reference, alpha)->sketched = shared;
   return shared;
 }
 
 Result<std::shared_ptr<const PreparedReference>>
-PreparedReferenceCache::InternRestored(std::vector<double> original,
+PreparedReferenceCache::InternRestored(const std::vector<double>& original,
                                        double alpha,
                                        PreparedReference prepared) {
   // A CRC-clean snapshot can still pair sections wrongly (a hand-spliced
@@ -223,24 +276,25 @@ PreparedReferenceCache::InternRestored(std::vector<double> original,
     return Status::InvalidArgument(
         "restored prepared reference size does not match its cache key");
   }
-  const uint64_t fingerprint = ReferenceFingerprint(original, alpha);
+  const uint64_t key = LookupKey(original, alpha);
   MutexLock lock(&mutex_);
-  Entry* entry = FindEntryLocked(fingerprint, original, alpha);
-  if (entry != nullptr) {
-    if (entry->prepared != nullptr) return entry->prepared;
+  Entry* entry = FindEntryLocked(key, original, alpha);
+  if (entry == nullptr) {
+    // The wire hash runs under the lock here: a restore rebuilds a fresh
+    // monitor's table from one thread, so nothing waits on it.
+    entry = InsertEntryLocked(key, ReferenceFingerprint(original, alpha),
+                              original, alpha);
+  }
+  if (entry->prepared == nullptr) {
     entry->prepared =
         std::make_shared<const PreparedReference>(std::move(prepared));
-    return entry->prepared;
   }
-  entry = InsertEntryLocked(fingerprint, std::move(original), alpha);
-  entry->prepared =
-      std::make_shared<const PreparedReference>(std::move(prepared));
   return entry->prepared;
 }
 
 Result<std::shared_ptr<const sketch::SketchedReference>>
 PreparedReferenceCache::InternRestoredSketched(
-    std::vector<double> original, double alpha,
+    const std::vector<double>& original, double alpha,
     sketch::SketchedReference sketched) {
   if (sketched.alpha() != alpha) {
     return Status::InvalidArgument(
@@ -250,25 +304,23 @@ PreparedReferenceCache::InternRestoredSketched(
     return Status::InvalidArgument(
         "restored sketched reference count does not match its cache key");
   }
-  const uint64_t fingerprint = ReferenceFingerprint(original, alpha);
+  const uint64_t key = LookupKey(original, alpha);
   MutexLock lock(&mutex_);
-  Entry* entry = FindEntryLocked(fingerprint, original, alpha);
-  if (entry != nullptr) {
-    if (entry->sketched != nullptr) {
-      if (entry->sketched->sketch_capacity() != sketched.sketch_capacity()) {
-        return Status::InvalidArgument(
-            "restored sketched reference capacity disagrees with the "
-            "interned summary for the same key");
-      }
-      return entry->sketched;
-    }
+  Entry* entry = FindEntryLocked(key, original, alpha);
+  if (entry == nullptr) {
+    entry = InsertEntryLocked(key, ReferenceFingerprint(original, alpha),
+                              original, alpha);
+  } else if (entry->sketched != nullptr &&
+             entry->sketched->sketch_capacity() !=
+                 sketched.sketch_capacity()) {
+    return Status::InvalidArgument(
+        "restored sketched reference capacity disagrees with the "
+        "interned summary for the same key");
+  }
+  if (entry->sketched == nullptr) {
     entry->sketched = std::make_shared<const sketch::SketchedReference>(
         std::move(sketched));
-    return entry->sketched;
   }
-  entry = InsertEntryLocked(fingerprint, std::move(original), alpha);
-  entry->sketched = std::make_shared<const sketch::SketchedReference>(
-      std::move(sketched));
   return entry->sketched;
 }
 
@@ -278,11 +330,12 @@ bool PreparedReferenceCache::FindOriginal(const PreparedReference* prepared,
                                           uint64_t* fingerprint) const {
   MutexLock lock(&mutex_);
   for (const auto& [key, bucket] : entries_) {
+    (void)key;
     for (const Entry& entry : bucket) {
       if (entry.prepared.get() == prepared) {
         *original = entry.original;
         *alpha = entry.alpha;
-        *fingerprint = key;
+        *fingerprint = entry.fingerprint;
         return true;
       }
     }
@@ -293,8 +346,8 @@ bool PreparedReferenceCache::FindOriginal(const PreparedReference* prepared,
 PreparedReferenceCache::Stats PreparedReferenceCache::stats() const {
   MutexLock lock(&mutex_);
   Stats s;
-  for (const auto& [fingerprint, bucket] : entries_) {
-    (void)fingerprint;
+  for (const auto& [key, bucket] : entries_) {
+    (void)key;
     s.entries += bucket.size();
     for (const Entry& entry : bucket) {
       s.resident_bytes += entry.original.capacity() * sizeof(double);

@@ -4,16 +4,20 @@
 // samples (one per metric, per model version, ...). Moche::Prepare
 // validates and sorts the reference — O(n log n) — so a monitor that owns
 // thousands of streams over one reference should pay that cost once. The
-// cache keys entries by a fingerprint of the raw observation sequence plus
-// alpha and hands out shared_ptrs to one immutable PreparedReference per
+// cache hands out shared_ptrs to one immutable PreparedReference per
 // distinct (reference, alpha). The same entry can additionally intern the
 // reference's KLL summary (sketch::SketchedReference) for the monitor's
 // sketched mode — built lazily by GetOrSketch, one summary per entry.
 //
 // Keying is by the byte-identical value sequence: two permutations of the
-// same sample intern separately (fingerprinting must not sort — that is
-// the cost being amortized). A fingerprint collision is resolved by an
-// exact comparison against the stored sequence, never by trusting the hash.
+// same sample intern separately (keying must not sort — that is the cost
+// being amortized). Lookups hash the sequence with a private in-process
+// key (four independent multiply–xorshift lanes, so a hit costs one
+// memory-speed pass instead of a serial byte chain); the key is never
+// persisted and a collision is resolved by an exact comparison against
+// the stored sequence, never by trusting the hash. The persisted wire
+// hash, ReferenceFingerprint, is computed once per distinct reference when
+// its entry is inserted and stored beside it for FindOriginal.
 //
 // Capacity: by default the intern table grows without bound (monitors hold
 // a few distinct references for their whole lifetime). Multi-tenant churn
@@ -46,15 +50,17 @@
 namespace moche {
 namespace stream {
 
-/// 64-bit fingerprint of (values, alpha): FNV-1a over an explicit
+/// 64-bit wire hash of (values, alpha): FNV-1a over an explicit
 /// canonical byte string — the element count as a little-endian u64, then
 /// alpha, then every value as the little-endian bytes of its IEEE-754 bit
 /// pattern (util/binary_io.h), each with -0.0 canonicalized to +0.0 first
-/// so the fingerprint respects the operator== equality the cache's
-/// exact-match guard uses (-0.0 == +0.0). The byte order is pinned, never
-/// host memory order: snapshot shard assignment (src/persist) keys on this
-/// value, so an x86-64 and an aarch64 build must agree bit-for-bit (a
-/// golden-sequence regression test locks the hash down).
+/// so equal-by-operator== references (-0.0 == +0.0) hash alike. The byte
+/// order is pinned, never host memory order: snapshot shard assignment
+/// (src/persist) keys on this value, so an x86-64 and an aarch64 build
+/// must agree bit-for-bit (a golden-sequence regression test locks the
+/// hash down). FNV-1a is a serial byte chain (~1.5 ms per 100k values), so
+/// the cache runs it once per distinct reference, on insert, and looks
+/// entries up by a cheaper private key instead.
 uint64_t ReferenceFingerprint(const std::vector<double>& values, double alpha);
 
 /// Thread-safe intern table of reference representations.
@@ -109,12 +115,14 @@ class PreparedReferenceCache {
   /// existing shared entry is returned and `prepared` is dropped — streams
   /// restored from different shards still converge on one PreparedReference
   /// per distinct reference, exactly as live interning would. Restores
-  /// count toward neither hits nor misses. InvalidArgument when `prepared`
+  /// count toward neither hits nor misses, and `original` is copied only
+  /// when it opens a new entry. InvalidArgument when `prepared`
   /// is inconsistent with (original, alpha) — wrong alpha, or a sample that
   /// is not a permutation-by-size of `original` (a cross-section splice in
   /// an otherwise CRC-clean snapshot).
   Result<std::shared_ptr<const PreparedReference>> InternRestored(
-      std::vector<double> original, double alpha, PreparedReference prepared);
+      const std::vector<double>& original, double alpha,
+      PreparedReference prepared);
 
   /// Sketched counterpart of InternRestored: interns a deserialized KLL
   /// summary under (original, alpha). InvalidArgument when the summary is
@@ -122,14 +130,14 @@ class PreparedReferenceCache {
   /// the key sequence's size, or a capacity disagreeing with an already
   /// interned summary for the same key.
   Result<std::shared_ptr<const sketch::SketchedReference>>
-  InternRestoredSketched(std::vector<double> original, double alpha,
+  InternRestoredSketched(const std::vector<double>& original, double alpha,
                          sketch::SketchedReference sketched);
 
   /// Reverse lookup for checkpointing: finds the interned entry whose
   /// shared PreparedReference is exactly `prepared` (pointer identity) and
   /// copies out the original unsorted key sequence, alpha, and the
-  /// ReferenceFingerprint the entry is keyed by (computed when the
-  /// reference was interned, so no hash runs here). Returns false when
+  /// ReferenceFingerprint stored with the entry (computed when the
+  /// reference was first inserted, so no hash runs here). Returns false when
   /// `prepared` was not interned here. O(entries) plus one copy of the
   /// sequence; a checkpoint calls it once per distinct reference.
   bool FindOriginal(const PreparedReference* prepared,
@@ -142,21 +150,23 @@ class PreparedReferenceCache {
   struct Entry {
     std::vector<double> original;  // the unsorted key sequence
     double alpha = 0.0;
+    uint64_t fingerprint = 0;  // ReferenceFingerprint(original, alpha)
     std::shared_ptr<const PreparedReference> prepared;          // may be null
     std::shared_ptr<const sketch::SketchedReference> sketched;  // may be null
     uint64_t last_used = 0;  // LRU stamp (monotone use counter)
   };
 
-  /// Finds the bucket entry matching (alpha, reference) exactly, stamping
-  /// it as used. Null when absent.
-  Entry* FindEntryLocked(uint64_t fingerprint,
-                         const std::vector<double>& reference, double alpha)
-      MOCHE_REQUIRES(mutex_);
+  /// Finds the entry under lookup key `key` matching (alpha, reference)
+  /// exactly, stamping it as used. Null when absent.
+  Entry* FindEntryLocked(uint64_t key, const std::vector<double>& reference,
+                         double alpha) MOCHE_REQUIRES(mutex_);
 
-  /// Inserts a fresh entry for (reference, alpha) and applies the LRU
-  /// bound. Returns the inserted entry (valid until the next mutation).
-  Entry* InsertEntryLocked(uint64_t fingerprint,
-                           std::vector<double> reference, double alpha)
+  /// Inserts a fresh entry for (reference, alpha) — copying the sequence —
+  /// under lookup key `key` with its precomputed wire hash `fingerprint`,
+  /// and applies the LRU bound. Returns the inserted entry (valid until the
+  /// next mutation).
+  Entry* InsertEntryLocked(uint64_t key, uint64_t fingerprint,
+                           const std::vector<double>& reference, double alpha)
       MOCHE_REQUIRES(mutex_);
 
   void EvictIfOverCapacityLocked() MOCHE_REQUIRES(mutex_);
@@ -164,7 +174,8 @@ class PreparedReferenceCache {
 
   Options options_;
   mutable Mutex mutex_;
-  // Keyed by fingerprint; each bucket holds the exact-compare candidates.
+  // Keyed by the private lookup key (never ReferenceFingerprint); each
+  // bucket holds the exact-compare candidates.
   std::unordered_map<uint64_t, std::vector<Entry>> entries_
       MOCHE_GUARDED_BY(mutex_);
   size_t hits_ MOCHE_GUARDED_BY(mutex_) = 0;

@@ -383,6 +383,75 @@ TEST(StreamingKsTest, RestoreAllocatesOnlyForTheObservationsItHolds) {
   EXPECT_FALSE(restored->CurrentOutcome().ok());  // far from full
 }
 
+TEST(StreamingKsTest, RestoredDetectorTracksTheLiveOneBitForBit) {
+  // The restored treap is built in one pass, not replayed, so its shape
+  // differs; its scores must not. Snapshots mid-fill and on a full ring
+  // over a tied alphabet with both signed zeros keep pushing beside the
+  // live detector, which must agree with the integer oracle and with them.
+  Rng rng(4242);
+  std::vector<double> ref;
+  for (int i = 0; i < 40; ++i) {
+    ref.push_back(static_cast<double>(rng.Integer(-2, 3)));
+  }
+  const auto sorted = SortedCopy(ref);
+  const auto draw = [&rng] {
+    const double v = static_cast<double>(rng.Integer(-2, 4));
+    return v == 0.0 && rng.Integer(0, 1) == 0 ? -0.0 : v;
+  };
+  auto live = StreamingKs::CreateOverSorted(sorted, 12, 0.05);
+  ASSERT_TRUE(live.ok());
+  int pushed = 0;
+  for (int snapshot_at : {0, 5, 11, 12, 30}) {
+    for (; pushed < snapshot_at; ++pushed) {
+      ASSERT_TRUE(live->Push(draw()).ok());
+    }
+    std::string bytes;
+    live->SerializeStateTo(&bytes);
+    bin::Reader reader(bytes);
+    auto restored = StreamingKs::DeserializeState(sorted, &reader);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    // A twin fed the same window by Push: the replayed build.
+    const std::vector<double> held = live->WindowContents();
+    auto twin = StreamingKs::CreateOverSorted(sorted, 12, 0.05);
+    ASSERT_TRUE(twin.ok());
+    for (double v : held) ASSERT_TRUE(twin->Push(v).ok());
+    std::deque<double> mirror(held.begin(), held.end());
+    for (int step = 0; step < 40; ++step) {
+      if (restored->WindowFull()) {
+        ExpectBitExact(*restored, *sorted, mirror, step);
+        ASSERT_EQ(Bits(restored->CurrentOutcome()->statistic),
+                  Bits(twin->CurrentOutcome()->statistic))
+            << "snapshot at " << snapshot_at << ", step " << step;
+      }
+      const double v = draw();
+      ASSERT_TRUE(twin->Push(v).ok());
+      ASSERT_TRUE(restored->Push(v).ok());
+      mirror.push_back(v);
+      if (mirror.size() > 12) mirror.pop_front();
+      ASSERT_EQ(restored->WindowContents(), twin->WindowContents());
+    }
+  }
+}
+
+TEST(StreamingKsTest, RestoreRejectsANonFiniteWindowValue) {
+  // Push refuses non-finite observations; a restore must refuse them too,
+  // before any score is computed from one.
+  const auto ref = SortedCopy({1.0, 2.0, 3.0, 4.0});
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (size_t at = 0; at < 3; ++at) {
+      std::string bytes = StateHeader(4, 4, 0.05, 3);
+      for (size_t i = 0; i < 3; ++i) {
+        bin::AppendDoubleLe(i == at ? bad : 1.5 + static_cast<double>(i),
+                            &bytes);
+      }
+      bin::Reader reader(bytes);
+      auto restored = StreamingKs::DeserializeState(ref, &reader);
+      ASSERT_FALSE(restored.ok()) << bad << " at " << at;
+      EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
 TEST(StreamingKsTest, SerializedStateRestoresBitIdentically) {
   Rng rng(31337);
   std::vector<double> ref;

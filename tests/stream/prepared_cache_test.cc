@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -182,7 +183,7 @@ TEST(PreparedReferenceCacheTest, FindOriginalRecoversTheUnsortedKey) {
   ASSERT_TRUE(cache.FindOriginal(a->get(), &original, &alpha, &fingerprint));
   EXPECT_EQ(original, ref_a);  // the raw sequence, not the sorted one
   EXPECT_EQ(alpha, 0.05);
-  // The key the entry was interned under, i.e. the snapshot shard hash.
+  // The wire hash stored with the entry, i.e. the snapshot shard hash.
   EXPECT_EQ(fingerprint, ReferenceFingerprint(ref_a, 0.05));
   ASSERT_TRUE(cache.FindOriginal(b->get(), &original, &alpha, &fingerprint));
   EXPECT_EQ(original, ref_b);
@@ -198,8 +199,8 @@ TEST(PreparedReferenceCacheTest, FindOriginalRecoversTheUnsortedKey) {
 }
 
 TEST(PreparedReferenceCacheTest, FindOriginalFingerprintOfARestoredEntry) {
-  // Entries interned by a restore are keyed the same way as live ones, so a
-  // re-checkpoint shards them exactly as the original checkpoint did.
+  // Entries interned by a restore store the same wire hash as live ones, so
+  // a re-checkpoint shards them exactly as the original checkpoint did.
   Moche engine;
   PreparedReferenceCache cache;
   const std::vector<double> ref{-0.0, 4.0, 2.0};
@@ -214,6 +215,142 @@ TEST(PreparedReferenceCacheTest, FindOriginalFingerprintOfARestoredEntry) {
       cache.FindOriginal(restored->get(), &original, &alpha, &fingerprint));
   EXPECT_EQ(fingerprint, ReferenceFingerprint(ref, 0.05));
   EXPECT_EQ(fingerprint, ReferenceFingerprint({0.0, 4.0, 2.0}, 0.05));
+}
+
+// The fingerprint of the entry behind `prepared`, as a checkpoint reads it.
+uint64_t StoredFingerprint(const PreparedReferenceCache& cache,
+                           const PreparedReference* prepared) {
+  std::vector<double> original;
+  double alpha = 0.0;
+  uint64_t fingerprint = 0;
+  EXPECT_TRUE(cache.FindOriginal(prepared, &original, &alpha, &fingerprint));
+  return fingerprint;
+}
+
+TEST(PreparedReferenceCacheTest, StoredFingerprintIsTheWireHashOnEveryPath) {
+  // Whichever call opens an entry computes the wire hash once and stores
+  // it; a later call that only attaches the other form must not change it.
+  Moche engine;
+  sketch::KllOptions kll;
+  kll.capacity = 32;
+  const std::vector<double> ref{-0.0, 4.0, 2.0, 7.5, 1.0};
+  const uint64_t expected = ReferenceFingerprint(ref, 0.05);
+
+  {  // GetOrPrepare opens the entry.
+    PreparedReferenceCache cache;
+    auto prepared = cache.GetOrPrepare(engine, ref, 0.05);
+    ASSERT_TRUE(prepared.ok());
+    EXPECT_EQ(StoredFingerprint(cache, prepared->get()), expected);
+  }
+  {  // GetOrSketch opens it; GetOrPrepare attaches the exact form.
+    PreparedReferenceCache cache;
+    ASSERT_TRUE(cache.GetOrSketch(ref, 0.05, kll).ok());
+    auto prepared = cache.GetOrPrepare(engine, ref, 0.05);
+    ASSERT_TRUE(prepared.ok());
+    EXPECT_EQ(cache.stats().entries, 1u);
+    EXPECT_EQ(StoredFingerprint(cache, prepared->get()), expected);
+  }
+  {  // InternRestored opens it.
+    PreparedReferenceCache cache;
+    auto sorted = engine.Prepare(ref, 0.05);
+    ASSERT_TRUE(sorted.ok());
+    auto restored = cache.InternRestored(ref, 0.05, std::move(*sorted));
+    ASSERT_TRUE(restored.ok());
+    EXPECT_EQ(StoredFingerprint(cache, restored->get()), expected);
+  }
+  {  // InternRestoredSketched opens it; InternRestored attaches.
+    PreparedReferenceCache cache;
+    auto built = sketch::SketchedReference::FromSample(ref, 0.05, kll);
+    ASSERT_TRUE(built.ok());
+    ASSERT_TRUE(cache.InternRestoredSketched(ref, 0.05, *built).ok());
+    auto sorted = engine.Prepare(ref, 0.05);
+    ASSERT_TRUE(sorted.ok());
+    auto restored = cache.InternRestored(ref, 0.05, std::move(*sorted));
+    ASSERT_TRUE(restored.ok());
+    EXPECT_EQ(cache.stats().entries, 1u);
+    EXPECT_EQ(StoredFingerprint(cache, restored->get()), expected);
+  }
+}
+
+TEST(PreparedReferenceCacheTest, SameSizeNearTwinsInternSeparately) {
+  // Every twin has the base's size; each differs in one way the exact
+  // compare must see, whatever the lookup key does with it.
+  Moche engine;
+  PreparedReferenceCache cache;
+  const std::vector<double> base{3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0};
+  std::vector<double> ulp = base;
+  ulp.back() = std::nextafter(ulp.back(), 10.0);
+  std::vector<double> permuted = base;
+  std::swap(permuted[0], permuted[4]);
+
+  auto a = cache.GetOrPrepare(engine, base, 0.05);
+  auto b = cache.GetOrPrepare(engine, ulp, 0.05);
+  auto c = cache.GetOrPrepare(engine, permuted, 0.05);
+  auto d = cache.GetOrPrepare(engine, base, 0.01);  // alpha only
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok() && d.ok());
+  const std::vector<const PreparedReference*> seen{a->get(), b->get(),
+                                                   c->get(), d->get()};
+  for (size_t i = 0; i < seen.size(); ++i) {
+    for (size_t j = i + 1; j < seen.size(); ++j) {
+      EXPECT_NE(seen[i], seen[j]) << i << " vs " << j;
+    }
+  }
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 4u);
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.hits, 0u);
+
+  // Each twin still resolves to its own entry.
+  auto again = cache.GetOrPrepare(engine, ulp, 0.05);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->get(), b->get());
+  EXPECT_EQ(StoredFingerprint(cache, b->get()),
+            ReferenceFingerprint(ulp, 0.05));
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(PreparedReferenceCacheTest, SignedZeroTwinsConvergeOnEveryPath) {
+  // SignedZeroReferencesShareOneEntry covers GetOrPrepare; the lookup key
+  // must canonicalize -0.0 on the sketch and restore paths too.
+  Moche engine;
+  sketch::KllOptions kll;
+  kll.capacity = 32;
+  const std::vector<double> plus{0.0, 1.0, 2.0, 0.0};
+  const std::vector<double> minus{-0.0, 1.0, 2.0, -0.0};
+
+  {
+    PreparedReferenceCache cache;
+    auto first = cache.GetOrSketch(plus, 0.05, kll);
+    auto second = cache.GetOrSketch(minus, 0.05, kll);
+    ASSERT_TRUE(first.ok() && second.ok());
+    EXPECT_EQ(first->get(), second->get());
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+  }
+  {
+    PreparedReferenceCache cache;
+    auto p = engine.Prepare(plus, 0.05);
+    auto m = engine.Prepare(minus, 0.05);
+    ASSERT_TRUE(p.ok() && m.ok());
+    auto first = cache.InternRestored(plus, 0.05, std::move(*p));
+    auto second = cache.InternRestored(minus, 0.05, std::move(*m));
+    ASSERT_TRUE(first.ok() && second.ok());
+    EXPECT_EQ(first->get(), second->get());
+    EXPECT_EQ(cache.stats().entries, 1u);
+  }
+  {
+    PreparedReferenceCache cache;
+    auto p = sketch::SketchedReference::FromSample(plus, 0.05, kll);
+    auto m = sketch::SketchedReference::FromSample(minus, 0.05, kll);
+    ASSERT_TRUE(p.ok() && m.ok());
+    auto first = cache.InternRestoredSketched(plus, 0.05, std::move(*p));
+    auto second = cache.InternRestoredSketched(minus, 0.05, std::move(*m));
+    ASSERT_TRUE(first.ok() && second.ok());
+    EXPECT_EQ(first->get(), second->get());
+    EXPECT_EQ(cache.stats().entries, 1u);
+  }
 }
 
 TEST(PreparedReferenceCacheTest, BoundedCacheEvictsLeastRecentlyUsed) {
