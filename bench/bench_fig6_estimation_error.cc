@@ -20,6 +20,7 @@ int main() {
   const std::vector<ts::Dataset> datasets =
       ts::MakeAllNabLikeDatasets(bench::kExperimentSeed, 0.5);
   Moche engine;
+  ExplainWorkspace workspace;  // phase-1 scratch, recycled across instances
 
   harness::AsciiTable table(
       {"Test size", "#tests", "min [q1 | med | q3 ] max (mean)"});
@@ -35,8 +36,11 @@ int main() {
       auto instances = harness::CollectFailedInstances(ds, collect);
       if (!instances.ok()) continue;
       for (const auto& inst : *instances) {
-        auto size = engine.FindExplanationSize(
-            inst.instance.reference, inst.instance.test, inst.instance.alpha);
+        auto prepared =
+            engine.Prepare(inst.instance.reference, inst.instance.alpha);
+        if (!prepared.ok()) continue;
+        auto size = engine.FindExplanationSizeInto(
+            *prepared, inst.instance.test, &workspace);
         if (!size.ok()) continue;
         errors.push_back(static_cast<double>(size->k - size->k_hat));
       }

@@ -396,8 +396,9 @@ int main(int argc, char** argv) {
                 ref_size, kFleetWindow, report.k);
   }
 
-  // The batched triage entry point: many same-width windows against one
-  // prepared reference in one SoA call (DriftMonitor::RecheckWindows).
+  // The batched evaluation entry point: many same-width windows against
+  // one prepared reference in one SoA call (DriftMonitor's kSketched exact
+  // fallback calls it with one window).
   // Reported per window; unlike ks_statistic (pre-sorted inputs) each
   // window here pays validation + sort + sweep, so compare this metric
   // against its own history, not against ks_statistic.

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/bounds.h"
+#include "core/bounds_witness.h"
 #include "core/brute_force.h"
 #include "core/builder.h"
 #include "core/cumulative.h"
@@ -145,7 +146,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
 
     // The constructed witness must be a size-h sub-multiset of T.
-    auto witness = engine.ConstructQualifiedVector(h);
+    auto witness = moche::ConstructQualifiedVector(engine, h);
     MOCHE_FUZZ_CHECK(witness.ok() == fast,
                      "ConstructQualifiedVector %s at h=%zu but Theorem 1 "
                      "says %d",

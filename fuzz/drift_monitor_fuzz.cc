@@ -7,13 +7,19 @@
 // batch). This target derives per-stream observation sequences with
 // drift-inducing regime shifts, feeds the SAME sequences to three monitors
 // — sequential coarse batches, parallel fine batches, and one-tick
-// PushTick calls — and fails if SameEventLogs distinguishes any pair. It
-// also cross-checks RecheckWindows against from-scratch ks::Run on
-// mirrored windows, batch-rejection atomicity (a NaN batch must not
-// advance any tick), and the stats counters. Streams may reuse an earlier
-// stream's reference; every monitor's intern table must then hold exactly
-// one entry per distinct (reference, alpha) — the small tied alphabets
-// make same-size near-twin references common, so the lookup key's exact
+// PushTick calls — and fails if SameEventLogs distinguishes any pair. The
+// reference mode is drawn too: kExact, or kSketched over a small KLL
+// summary (sketch_k in [8, 64]) so certified verdicts and exact fallbacks
+// both occur. Every event is re-derived from scratch: the mirrored window
+// at the event's tick, in the monitor's preference order, through
+// Prepare + ExplainPreparedInto, must give the event's status code, k,
+// k_hat and indices; in kSketched mode the event's outcome must also be
+// ks::Run's on that window bit for bit (recompute semantics). The target
+// also checks batch-rejection atomicity (a NaN batch must not advance any
+// tick) and the stats counters. Streams may reuse an earlier stream's
+// reference; every monitor's intern table must then hold exactly one
+// entry per distinct (reference, alpha) — the small tied alphabets make
+// same-size near-twin references common, so the lookup key's exact
 // compare decides many of these.
 
 #include <algorithm>
@@ -23,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/moche.h"
 #include "fuzz_target.h"
 #include "ks/ks_test.h"
 #include "provider.h"
@@ -33,6 +40,8 @@ namespace {
 using moche::stream::DriftMonitor;
 using moche::stream::MonitorOptions;
 using moche::stream::RearmPolicy;
+using moche::stream::ReferenceMode;
+using moche::stream::WindowPreference;
 
 DriftMonitor MakeMonitor(const MonitorOptions& options) {
   auto monitor = DriftMonitor::Create(options);
@@ -55,9 +64,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       in.Bool() ? RearmPolicy::kOncePerExcursion : RearmPolicy::kEveryKPushes;
   options.explain_every_k =
       options.rearm == RearmPolicy::kEveryKPushes ? in.SizeInRange(1, 5) : 0;
-  options.preference = in.Bool()
-                           ? moche::stream::WindowPreference::kOldestFirst
-                           : moche::stream::WindowPreference::kNewestFirst;
+  options.preference = in.Bool() ? WindowPreference::kOldestFirst
+                                 : WindowPreference::kNewestFirst;
+  if (in.Bool()) {
+    options.reference_mode = ReferenceMode::kSketched;
+    options.sketch_k = in.SizeInRange(8, 64);
+  }
+  const bool sketched = options.reference_mode == ReferenceMode::kSketched;
 
   MonitorOptions sequential = options;
   sequential.num_threads = 1;
@@ -101,7 +114,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
 
   // One intern entry per distinct reference (alpha is the monitor's), and
-  // every repeat is a hit.
+  // every repeat is a hit. A kSketched stream looks its reference up twice
+  // (exact form, then summary); the first sight misses both.
   size_t distinct = 0;
   for (size_t s = 0; s < streams; ++s) {
     distinct += std::find(references.begin(),
@@ -109,10 +123,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                           references[s]) ==
                 references.begin() + static_cast<ptrdiff_t>(s);
   }
+  const size_t lookups = sketched ? 2 : 1;
   for (const DriftMonitor* monitor : {&coarse, &fine, &ticked}) {
     const auto cache = monitor->cache_stats();
-    MOCHE_FUZZ_CHECK(cache.entries == distinct && cache.misses == distinct &&
-                         cache.hits == streams - distinct,
+    MOCHE_FUZZ_CHECK(cache.entries == distinct &&
+                         cache.misses == lookups * distinct &&
+                         cache.hits == lookups * (streams - distinct),
                      "intern table holds %zu entries (%zu hits) for %zu "
                      "distinct of %zu references",
                      cache.entries, cache.hits, distinct, streams);
@@ -195,40 +211,61 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                    static_cast<unsigned long long>(stats.explanations),
                    coarse.events().size());
 
-  // RecheckWindows is read-only triage: outcomes must match a from-scratch
-  // ks::Run on the mirrored window, streams with unfilled windows stay
-  // n == 0, and no event or tick may move.
-  std::vector<moche::KsOutcome> outcomes;
-  const size_t events_before = coarse.events().size();
-  MOCHE_FUZZ_CHECK(coarse.RecheckWindows(&outcomes).ok(),
-                   "RecheckWindows failed");
-  MOCHE_FUZZ_CHECK(outcomes.size() == streams,
-                   "RecheckWindows wrote %zu outcomes for %zu streams",
-                   outcomes.size(), streams);
-  MOCHE_FUZZ_CHECK(coarse.events().size() == events_before,
-                   "RecheckWindows appended events");
-  for (size_t s = 0; s < streams; ++s) {
-    MOCHE_FUZZ_CHECK(coarse.stream_ticks(s) == ticks,
-                     "RecheckWindows advanced stream %zu", s);
-    if (ticks < window_sizes[s]) {
-      MOCHE_FUZZ_CHECK(outcomes[s].n == 0,
-                       "unfilled stream %zu got a real outcome", s);
-      continue;
+  // Every event re-derived from scratch: the mirrored window at the event's
+  // tick (oldest first) and the monitor's preference order, through
+  // Prepare + ExplainPreparedInto with one recycled workspace.
+  const moche::Moche engine(options.moche);
+  moche::ExplainWorkspace workspace;
+  moche::MocheReport report;
+  for (const moche::stream::DriftEvent& event : coarse.events()) {
+    const size_t s = event.stream;
+    MOCHE_FUZZ_CHECK(s < streams && event.tick >= window_sizes[s] &&
+                         event.tick <= ticks,
+                     "event at stream %zu tick %llu is out of range", s,
+                     static_cast<unsigned long long>(event.tick));
+    const size_t w = window_sizes[s];
+    const auto end = sequence[s].begin() + static_cast<ptrdiff_t>(event.tick);
+    const std::vector<double> window(end - static_cast<ptrdiff_t>(w), end);
+    moche::PreferenceList pref = moche::IdentityPreference(w);
+    if (options.preference == WindowPreference::kNewestFirst) {
+      std::reverse(pref.begin(), pref.end());
     }
-    const std::vector<double> window(
-        sequence[s].end() - static_cast<ptrdiff_t>(window_sizes[s]),
-        sequence[s].end());
-    auto direct = moche::ks::Run(references[s], window, options.alpha);
-    MOCHE_FUZZ_CHECK(direct.ok(), "mirror recompute failed: %s",
-                     direct.status().message().c_str());
+    auto prepared = engine.Prepare(references[s], options.alpha);
+    MOCHE_FUZZ_CHECK(prepared.ok(), "Prepare failed: %s",
+                     prepared.status().message().c_str());
+    const moche::Status status = engine.ExplainPreparedInto(
+        *prepared, window, pref, &workspace, &report);
     MOCHE_FUZZ_CHECK(
-        outcomes[s].statistic == direct->statistic &&
-            outcomes[s].threshold == direct->threshold &&
-            outcomes[s].reject == direct->reject &&
-            outcomes[s].n == direct->n && outcomes[s].m == direct->m,
-        "stream %zu: RecheckWindows outcome diverges from ks::Run "
-        "(D=%.17g vs %.17g)",
-        s, outcomes[s].statistic, direct->statistic);
+        status.code() == event.explain_status.code(),
+        "stream %zu tick %llu: event status %s, re-derived %s", s,
+        static_cast<unsigned long long>(event.tick),
+        moche::StatusCodeToString(event.explain_status.code()),
+        moche::StatusCodeToString(status.code()));
+    if (status.ok()) {
+      MOCHE_FUZZ_CHECK(report.k == event.report.k &&
+                           report.k_hat == event.report.k_hat &&
+                           report.explanation.indices ==
+                               event.report.explanation.indices,
+                       "stream %zu tick %llu: re-derived explanation "
+                       "differs (k %zu/%zu k_hat %zu/%zu)",
+                       s, static_cast<unsigned long long>(event.tick),
+                       report.k, event.report.k, report.k_hat,
+                       event.report.k_hat);
+    }
+    if (sketched) {
+      auto direct = moche::ks::Run(references[s], window, options.alpha);
+      MOCHE_FUZZ_CHECK(direct.ok(), "mirror recompute failed: %s",
+                       direct.status().message().c_str());
+      const moche::KsOutcome& got = event.outcome;
+      MOCHE_FUZZ_CHECK(got.statistic == direct->statistic &&
+                           got.threshold == direct->threshold &&
+                           got.reject == direct->reject &&
+                           got.n == direct->n && got.m == direct->m,
+                       "stream %zu tick %llu: sketched event outcome "
+                       "diverges from ks::Run (D=%.17g vs %.17g)",
+                       s, static_cast<unsigned long long>(event.tick),
+                       got.statistic, direct->statistic);
+    }
   }
   return 0;
 }

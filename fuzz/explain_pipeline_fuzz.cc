@@ -1,15 +1,16 @@
-// Differential oracle: the four Explain entry points against each other
+// Differential oracle: the three Explain entry points against each other
 // and against ks::Run, plus workspace recycling across size-mixed windows.
 //
-// Moche::Explain, ExplainPrepared, ExplainInto and ExplainPreparedInto all
+// Moche::Explain, ExplainInto and Prepare + ExplainPreparedInto all
 // promise bit-identical reports on the same inputs (the *Into paths merely
 // relocate scratch into a caller-owned workspace). This target drives a
 // sequence of windows of DIFFERENT sizes through ONE recycled workspace
 // and ONE recycled report — the steady state of the stream monitor — and
 // fails if any path diverges from the allocation-per-call baseline in
 // status code, explanation indices, sizes, outcomes (bit-exact statistics)
-// or search counters. FindExplanationSize* must agree with the report's
-// phase-1 numbers, and EvaluateBatchPrepared must match ks::Run per window.
+// or search counters. FindExplanationSizeInto must agree with the report's
+// status and phase-1 numbers, and EvaluateBatchPrepared must match ks::Run
+// per window.
 //
 // The report's two KS outcomes are swept over the explanation's cumulative
 // frame (C_T, then C_T - C_I) rather than recomputed from the samples, so
@@ -125,20 +126,23 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
 
     auto base = engine.Explain(reference, test, alpha, pref);
-    auto via_prepared = engine.ExplainPrepared(*prepared, test, pref);
     const moche::Status into_status = engine.ExplainInto(
         reference, test, alpha, pref, &workspace, &into_report);
     const moche::Status prepared_into_status = engine.ExplainPreparedInto(
         *prepared, test, pref, &workspace, &prepared_into_report);
 
-    MOCHE_FUZZ_CHECK(base.status().code() == via_prepared.status().code() &&
-                         base.status().code() == into_status.code() &&
-                         base.status().code() == prepared_into_status.code(),
+    // Phase 1 alone, through the same recycled workspace.
+    auto size_into =
+        engine.FindExplanationSizeInto(*prepared, test, &workspace);
+
+    MOCHE_FUZZ_CHECK(base.status().code() == into_status.code() &&
+                         base.status().code() == prepared_into_status.code() &&
+                         base.status().code() == size_into.status().code(),
                      "window %zu: status codes diverge: %s / %s / %s / %s", w,
                      moche::StatusCodeToString(base.status().code()),
-                     moche::StatusCodeToString(via_prepared.status().code()),
                      moche::StatusCodeToString(into_status.code()),
-                     moche::StatusCodeToString(prepared_into_status.code()));
+                     moche::StatusCodeToString(prepared_into_status.code()),
+                     moche::StatusCodeToString(size_into.status().code()));
     // Internal means phase 1 and phase 2 disagree or the explanation does
     // not reverse the test: a bug on every valid input.
     MOCHE_FUZZ_CHECK(!base.status().IsInternal(), "window %zu: %s", w,
@@ -167,26 +171,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       CheckOutcomesIdentical(base->after, *direct_after, "after vs ks::Run",
                              w);
 
-      CheckReportsIdentical(*base, *via_prepared, "ExplainPrepared", w);
       CheckReportsIdentical(*base, into_report, "ExplainInto", w);
       CheckReportsIdentical(*base, prepared_into_report, "ExplainPreparedInto",
                             w);
 
-      // Phase-1-only entry points must report the same size search.
-      auto size_only = engine.FindExplanationSize(reference, test, alpha);
-      MOCHE_FUZZ_CHECK(size_only.ok(),
-                       "FindExplanationSize failed where Explain succeeded");
-      MOCHE_FUZZ_CHECK(size_only->k == base->k &&
-                           size_only->k_hat == base->k_hat,
-                       "window %zu: FindExplanationSize k=%zu k_hat=%zu vs "
-                       "report k=%zu k_hat=%zu",
-                       w, size_only->k, size_only->k_hat, base->k, base->k_hat);
-      auto size_into =
-          engine.FindExplanationSizeInto(*prepared, test, &workspace);
-      MOCHE_FUZZ_CHECK(size_into.ok() &&
-                           size_into->k == size_only->k &&
-                           size_into->k_hat == size_only->k_hat,
-                       "window %zu: FindExplanationSizeInto diverges", w);
+      // The phase-1-only entry point must report the same size search.
+      MOCHE_FUZZ_CHECK(size_into->k == base->k &&
+                           size_into->k_hat == base->k_hat,
+                       "window %zu: FindExplanationSizeInto k=%zu k_hat=%zu "
+                       "vs report k=%zu k_hat=%zu",
+                       w, size_into->k, size_into->k_hat, base->k,
+                       base->k_hat);
 
       // The report's own invariants: the explanation is a valid index set
       // of the claimed size, the original test rejects, the after test

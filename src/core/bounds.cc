@@ -123,12 +123,6 @@ double BoundsEngine::Gamma(size_t i, size_t h) const {
   return ct_d_[i] - (rem / n) * cr_d_[i];
 }
 
-BoundsVectors BoundsEngine::ComputeBounds(size_t h) const {
-  BoundsVectors b;
-  ComputeBoundsInto(h, &b.lower, &b.upper);
-  return b;
-}
-
 void BoundsEngine::ComputeBoundsInto(size_t h, std::vector<int64_t>* lower,
                                      std::vector<int64_t>* upper) const {
   const size_t q = frame_->q();
@@ -256,50 +250,6 @@ bool BoundsEngine::NecessaryCondition(size_t h) const {
     i = stop + 1;
   }
   return true;
-}
-
-Result<std::vector<int64_t>> BoundsEngine::ConstructQualifiedVector(
-    size_t h) const {
-  const size_t q = frame_->q();
-  const BoundsVectors b = ComputeBounds(h);
-  for (size_t i = 1; i <= q; ++i) {
-    if (b.lower[i] > b.upper[i]) {
-      return Status::NotFound("no qualified cumulative vector at this size");
-    }
-  }
-  // Theorem 1 sufficiency: start from C[q] = u_q and walk down, keeping
-  // 0 <= C[i] - C[i-1] <= C_T[i] - C_T[i-1].
-  std::vector<int64_t> cum(q + 1, 0);
-  cum[q] = b.upper[q];
-  for (size_t i = q; i >= 1; --i) {
-    const int64_t lo_step = cum[i] - frame_->CountT(i);  // C[i-1] >= this
-    const int64_t lo = std::max(b.lower[i - 1], lo_step);
-    const int64_t hi = std::min(b.upper[i - 1], cum[i]);
-    if (lo > hi) {
-      return Status::Internal(
-          "Theorem 1 construction failed; bounds are inconsistent");
-    }
-    cum[i - 1] = lo;
-  }
-  if (cum[0] != 0) {
-    return Status::Internal("constructed vector does not start at 0");
-  }
-  if (cum[q] != static_cast<int64_t>(h)) {
-    return Status::Internal("constructed vector has the wrong cardinality");
-  }
-  return cum;
-}
-
-std::vector<double> BoundsEngine::VectorToSubset(
-    const std::vector<int64_t>& cum) const {
-  std::vector<double> out;
-  out.reserve(static_cast<size_t>(cum[frame_->q()]));
-  for (size_t i = 1; i <= frame_->q(); ++i) {
-    for (int64_t c = cum[i - 1]; c < cum[i]; ++c) {
-      out.push_back(frame_->Value(i));
-    }
-  }
-  return out;
 }
 
 bool SizeScan::ExistsQualified(size_t h) {

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "core/cumulative.h"
-#include "util/status.h"
 
 namespace moche {
 
@@ -44,13 +43,6 @@ namespace moche {
 /// instances agree with the direct KS comparison (see docs/ARCHITECTURE.md).
 int64_t CeilTol(double x);
 int64_t FloorTol(double x);
-
-/// Per-coordinate bounds of Equation 4 for one subset size h.
-/// Entry 0 is the constant C[0] = 0 (l[0] = u[0] = 0).
-struct BoundsVectors {
-  std::vector<int64_t> lower;  // length q+1
-  std::vector<int64_t> upper;  // length q+1
-};
 
 class BoundsEngine {
  public:
@@ -75,12 +67,10 @@ class BoundsEngine {
   /// Gamma(i,h) = C_T[i] - ((m-h)/n) * C_R[i], i in [1, q].
   double Gamma(size_t i, size_t h) const;
 
-  /// The closed-form bounds of Equation 4 for subset size h.
-  BoundsVectors ComputeBounds(size_t h) const;
-
-  /// As ComputeBounds, writing into caller-owned vectors (assign-style, so
-  /// reused vectors keep their capacity). `lower` and `upper` end up with
-  /// length q+1.
+  /// The closed-form bounds of Equation 4 for subset size h, written into
+  /// caller-owned vectors (assign-style, so reused vectors keep their
+  /// capacity). `lower` and `upper` end up with length q+1; entry 0 is the
+  /// constant C[0] = 0 (l[0] = u[0] = 0).
   void ComputeBoundsInto(size_t h, std::vector<int64_t>* lower,
                          std::vector<int64_t>* upper) const;
 
@@ -102,15 +92,6 @@ class BoundsEngine {
 
   /// Theorem 2's necessary condition (Equation 5); monotone in h.
   bool NecessaryCondition(size_t h) const;
-
-  /// Constructs an actual qualified h-cumulative vector via the Theorem 1
-  /// sufficiency argument, or NotFound when none exists. Used by tests and
-  /// by callers that want a witness subset rather than just the size.
-  Result<std::vector<int64_t>> ConstructQualifiedVector(size_t h) const;
-
-  /// Expands a cumulative vector into the multiset of values it denotes
-  /// (x_i repeated C[i]-C[i-1] times).
-  std::vector<double> VectorToSubset(const std::vector<int64_t>& cum) const;
 
   const CumulativeFrame& frame() const { return *frame_; }
   double alpha() const { return alpha_; }

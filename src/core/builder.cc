@@ -11,21 +11,12 @@ Result<Explanation> BuildMostComprehensible(const BoundsEngine& engine,
                                             bool incremental_check,
                                             BuildStats* stats) {
   BuildScratch scratch;
+  MOCHE_RETURN_IF_ERROR(
+      ValidatePreference(pref, test.size(), &scratch.pref_seen));
   Explanation expl;
-  MOCHE_RETURN_IF_ERROR(BuildMostComprehensibleInto(
+  MOCHE_RETURN_IF_ERROR(internal::BuildMostComprehensiblePrevalidated(
       engine, k, test, pref, incremental_check, stats, &scratch, &expl));
   return expl;
-}
-
-Status BuildMostComprehensibleInto(const BoundsEngine& engine, size_t k,
-                                   const std::vector<double>& test,
-                                   const PreferenceList& pref,
-                                   bool incremental_check, BuildStats* stats,
-                                   BuildScratch* scratch, Explanation* out) {
-  MOCHE_RETURN_IF_ERROR(
-      ValidatePreference(pref, test.size(), &scratch->pref_seen));
-  return internal::BuildMostComprehensiblePrevalidated(
-      engine, k, test, pref, incremental_check, stats, scratch, out);
 }
 
 Status internal::BuildMostComprehensiblePrevalidated(

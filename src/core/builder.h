@@ -38,9 +38,9 @@ Result<Explanation> BuildMostComprehensible(const BoundsEngine& engine,
                                             bool incremental_check = true,
                                             BuildStats* stats = nullptr);
 
-/// Caller-owned scratch for BuildMostComprehensibleInto. Members are
-/// rebuilt in place on every call; reusing one BuildScratch across calls is
-/// what makes the warm scan allocation-free. ExplainWorkspace embeds one.
+/// Caller-owned scratch for the in-place builder below. Members are rebuilt
+/// in place on every call; reusing one BuildScratch across calls is what
+/// makes the warm scan allocation-free. ExplainWorkspace embeds one.
 struct BuildScratch {
   /// After a call: the 1-based base-vector index of each test point (Moche
   /// forms C_I from it). The other members are internal state.
@@ -54,22 +54,14 @@ struct BuildScratch {
   }
 };
 
+namespace internal {
+
 /// As BuildMostComprehensible, borrowing caller-owned scratch so a warm
 /// caller (the ExplainWorkspace hot path) runs the scan without heap
 /// allocation; the explanation is written into `out` (cleared first,
 /// capacity reused). `stats`, when non-null, is overwritten — not
-/// accumulated into. Results are identical to BuildMostComprehensible.
-Status BuildMostComprehensibleInto(const BoundsEngine& engine, size_t k,
-                                   const std::vector<double>& test,
-                                   const PreferenceList& pref,
-                                   bool incremental_check, BuildStats* stats,
-                                   BuildScratch* scratch, Explanation* out);
-
-namespace internal {
-
-/// The body behind BuildMostComprehensibleInto with `pref` validation as a
-/// PRECONDITION: the caller must have run ValidatePreference(pref,
-/// test.size()) already (the public entry points do; Moche's explain
+/// accumulated into. `pref` validation is a PRECONDITION: the caller must
+/// have run ValidatePreference(pref, test.size()) already (Moche's explain
 /// pipeline validates once at its entry instead of re-paying the O(m)
 /// permutation check per call). Mirrors the ks::internal::*Unchecked
 /// pattern.

@@ -12,7 +12,7 @@ namespace moche {
 Result<CumulativeFrame> CumulativeFrame::Build(const std::vector<double>& r,
                                                const std::vector<double>& t) {
   // Validate before sorting: std::sort on a range with NaN is undefined
-  // behavior, so the non-finite check cannot be left to BuildFromSorted.
+  // behavior, and the in-place builder only DCHECKs its preconditions.
   MOCHE_RETURN_IF_ERROR(ks::ValidateSample(r, "reference set"));
   MOCHE_RETURN_IF_ERROR(ks::ValidateSample(t, "test set"));
   std::vector<double> rs = r;
@@ -21,26 +21,8 @@ Result<CumulativeFrame> CumulativeFrame::Build(const std::vector<double>& r,
   std::sort(rs.begin(), rs.end());
   // moche-lint: allow(sort-doubles): range validated finite above (ks::ValidateSample)
   std::sort(ts.begin(), ts.end());
-  return BuildFromSortedUnchecked(rs, ts);
-}
-
-Result<CumulativeFrame> CumulativeFrame::BuildFromSorted(
-    const std::vector<double>& r_sorted, const std::vector<double>& t_sorted) {
-  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(r_sorted, "reference set"));
-  MOCHE_RETURN_IF_ERROR(ks::ValidateSample(t_sorted, "test set"));
-  if (!std::is_sorted(r_sorted.begin(), r_sorted.end())) {
-    return Status::InvalidArgument("reference set is not sorted ascending");
-  }
-  if (!std::is_sorted(t_sorted.begin(), t_sorted.end())) {
-    return Status::InvalidArgument("test set is not sorted ascending");
-  }
-  return BuildFromSortedUnchecked(r_sorted, t_sorted);
-}
-
-Result<CumulativeFrame> CumulativeFrame::BuildFromSortedUnchecked(
-    const std::vector<double>& r_sorted, const std::vector<double>& t_sorted) {
   CumulativeFrame frame;
-  BuildFromSortedUncheckedInto(r_sorted, t_sorted, &frame);
+  BuildFromSortedUncheckedInto(rs, ts, &frame);
   return frame;
 }
 

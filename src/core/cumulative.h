@@ -50,30 +50,15 @@ class CumulativeFrame {
   CumulativeFrame() = default;
 
   /// Builds the compressed base vector and the cumulative vectors of R and
-  /// T.
-  /// Fails when either multiset is empty.
+  /// T. Fails when either multiset is empty or holds a non-finite value.
   static Result<CumulativeFrame> Build(const std::vector<double>& r,
                                        const std::vector<double>& t);
 
-  /// As Build, for inputs already sorted ascending: skips the two sorts and
-  /// the copies. Fails when a multiset is empty or not sorted.
-  static Result<CumulativeFrame> BuildFromSorted(
-      const std::vector<double>& r_sorted,
-      const std::vector<double>& t_sorted);
-
-  /// As BuildFromSorted but with preconditions (non-empty, finite, sorted)
-  /// checked by MOCHE_DCHECK only. The prepared-instance hot path (one
-  /// reference sample validated and sorted once by Moche::Prepare, tested
-  /// against many windows) calls this per window so the per-call cost has
-  /// no redundant O(n) re-validation of the reference.
-  static Result<CumulativeFrame> BuildFromSortedUnchecked(
-      const std::vector<double>& r_sorted,
-      const std::vector<double>& t_sorted);
-
-  /// As BuildFromSortedUnchecked, but rebuilds `out` in place, reusing its
-  /// existing array capacity: a frame cycled through many same-sized
-  /// instances stops allocating once warm. This is the ExplainWorkspace hot
-  /// path; results are identical to BuildFromSortedUnchecked.
+  /// As Build, for inputs already sorted ascending, with the preconditions
+  /// (non-empty, finite, sorted) checked by MOCHE_DCHECK only: rebuilds
+  /// `out` in place, reusing its capacity, so a frame cycled through
+  /// same-sized instances stops allocating once warm. The ExplainWorkspace
+  /// hot path; its callers validate first.
   static void BuildFromSortedUncheckedInto(
       const std::vector<double>& r_sorted,
       const std::vector<double>& t_sorted, CumulativeFrame* out);

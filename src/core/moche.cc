@@ -70,8 +70,8 @@ KsOutcome SweepFrame(const BoundsEngine& engine, const double* cum_t,
   return out;
 }
 
-// The shared precondition of the batched evaluators. An empty batch is
-// valid whatever its width; otherwise windows must be non-empty, the data
+// The precondition of EvaluateBatchPrepared. An empty batch is valid
+// whatever its width; otherwise windows must be non-empty, the data
 // non-null, and every value finite — checked in one flat pass over
 // count * width doubles.
 Status ValidateBatch(const WindowBatch& batch) {
@@ -135,16 +135,6 @@ Result<PreparedReference> PreparedReference::DeserializeFrom(
   }
   prepared.alpha_ = alpha;
   return prepared;
-}
-
-Result<MocheReport> Moche::ExplainPrepared(
-    const PreparedReference& prepared, const std::vector<double>& test,
-    const PreferenceList& preference) const {
-  ExplainWorkspace workspace;
-  MocheReport report;
-  MOCHE_RETURN_IF_ERROR(
-      ExplainPreparedInto(prepared, test, preference, &workspace, &report));
-  return report;
 }
 
 Status Moche::ExplainPreparedInto(const PreparedReference& prepared,
@@ -281,33 +271,6 @@ Status Moche::TriageSketchedInto(const sketch::SketchedReference& sketched,
   *triage = sketched.Classify(sketched.StatisticAgainstSorted(test_sorted),
                               test_sorted.size());
   return Status::OK();
-}
-
-Status Moche::EvaluateBatchSketched(
-    const sketch::SketchedReference& sketched, const WindowBatch& batch,
-    ExplainWorkspace* workspace,
-    std::vector<sketch::SketchTriage>* triages) const {
-  MOCHE_RETURN_IF_ERROR(ValidateBatch(batch));
-  std::vector<double>& test_sorted = workspace->test_sorted_;
-  triages->resize(batch.count);
-  for (size_t w = 0; w < batch.count; ++w) {
-    SortInto(batch.data + w * batch.width, batch.width, &test_sorted);
-    (*triages)[w] = sketched.Classify(
-        sketched.StatisticAgainstSorted(test_sorted), batch.width);
-  }
-  return Status::OK();
-}
-
-Result<SizeSearchResult> Moche::FindExplanationSize(
-    const std::vector<double>& reference, const std::vector<double>& test,
-    double alpha) const {
-  ExplainWorkspace workspace;
-  MOCHE_RETURN_IF_ERROR(ValidateAndSortReference(
-      reference, alpha, &workspace.reference_sorted_));
-  MocheReport report;
-  MOCHE_RETURN_IF_ERROR(FindSizeSortedInto(workspace.reference_sorted_, alpha,
-                                           test, &workspace, &report));
-  return report.size_stats;
 }
 
 Result<SizeSearchResult> Moche::FindExplanationSizeInto(

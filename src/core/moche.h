@@ -4,6 +4,9 @@
 //   auto report = engine.Explain(reference, test, /*alpha=*/0.05, preference);
 //   if (report.ok()) { /* report->explanation.indices ... */ }
 //
+// Explain, ExplainInto and Prepare + ExplainPreparedInto (and, for phase 1
+// alone, FindExplanationSizeInto) share one pipeline and agree bit for bit.
+//
 // Explain returns:
 //  * AlreadyPasses when R and T pass the KS test (nothing to explain),
 //  * NotFound when no explanation exists (possible only for alpha > 2/e^2,
@@ -12,7 +15,7 @@
 //
 // Ownership & thread-safety: Moche and PreparedReference are immutable
 // after construction — one engine and one prepared reference may be shared
-// by any number of concurrent Explain/ExplainPrepared calls (the batch
+// by any number of concurrent Explain/ExplainPreparedInto calls (the batch
 // harness and the stream monitor both do). Each call owns all of its
 // mutable state on the stack; no call mutates its inputs. The *Into entry
 // points move that state into a caller-owned ExplainWorkspace instead: a
@@ -78,7 +81,8 @@ struct MocheReport {
 /// windows against the same R (e.g. the sliding-window sweeps of Section 6:
 /// hundreds of test windows are sliced from one series and compared against
 /// one reference). Construct with Moche::Prepare; immutable afterwards, so
-/// one PreparedReference may be shared by concurrent ExplainPrepared calls.
+/// one PreparedReference may be shared by concurrent ExplainPreparedInto
+/// calls (each with its own workspace).
 class PreparedReference {
  public:
   const std::vector<double>& sorted_reference() const {
@@ -102,7 +106,7 @@ class PreparedReference {
  private:
   friend class Moche;
   // Only Moche::Prepare and DeserializeFrom may construct one:
-  // ExplainPrepared's unchecked hot path relies on the validate-and-sort
+  // ExplainPreparedInto's unchecked hot path relies on the validate-and-sort
   // invariant both establish.
   PreparedReference() = default;
 
@@ -137,29 +141,24 @@ class Moche {
                    preference);
   }
 
-  /// Validates and sorts `reference` once for many ExplainPrepared calls.
+  /// Validates and sorts `reference` once for many ExplainPreparedInto
+  /// (and FindExplanationSizeInto) calls.
   /// InvalidArgument on an empty/non-finite sample or out-of-domain alpha.
   Result<PreparedReference> Prepare(std::vector<double> reference,
                                     double alpha) const;
 
-  /// As Explain, but reuses the prepared (already sorted) reference: only
-  /// the test window is sorted per call. Produces bit-identical reports to
-  /// Explain on the same inputs. Thread-safe: Moche and PreparedReference
-  /// are both immutable, so concurrent calls may share them.
-  Result<MocheReport> ExplainPrepared(const PreparedReference& prepared,
-                                      const std::vector<double>& test,
-                                      const PreferenceList& preference) const;
-
-  /// The zero-allocation hot path: as ExplainPrepared, but every scratch
-  /// buffer lives in the caller-owned `workspace` and the result is written
-  /// into the caller-owned `*report` (whose explanation vector's capacity is
-  /// reused). A caller that recycles the same workspace and report performs
-  /// no heap allocation once warm — the steady state of the Section 6
-  /// sweeps, harness::RunMethods, and DriftMonitor. Reports are
-  /// bit-identical to ExplainPrepared on the same inputs; `*report` is
-  /// meaningful only when the returned Status is OK. The workspace and
-  /// report are mutable per-caller state: share the engine and the prepared
-  /// reference across threads, never a workspace (docs/ARCHITECTURE.md).
+  /// The zero-allocation hot path: as Explain, but reuses the prepared
+  /// (already sorted) reference — only the test window is validated and
+  /// sorted per call — and every scratch buffer lives in the caller-owned
+  /// `workspace`; the result is written into the caller-owned `*report`
+  /// (whose explanation vector's capacity is reused). A caller that
+  /// recycles the same workspace and report performs no heap allocation
+  /// once warm — the steady state of the Section 6 sweeps and
+  /// DriftMonitor. Reports are bit-identical to Explain on the same
+  /// inputs; `*report` is meaningful only when the returned Status is OK.
+  /// The workspace and report are mutable per-caller state: share the
+  /// engine and the prepared reference across threads, never a workspace
+  /// (docs/ARCHITECTURE.md).
   Status ExplainPreparedInto(const PreparedReference& prepared,
                              const std::vector<double>& test,
                              const PreferenceList& preference,
@@ -175,18 +174,10 @@ class Moche {
                      const PreferenceList& preference,
                      ExplainWorkspace* workspace, MocheReport* report) const;
 
-  /// Phase 1 only: the explanation size (and lower bound) without building
-  /// the explanation. Useful when only conciseness is needed. One-shot
-  /// wrapper over the same phase-1 core as FindExplanationSizeInto.
-  Result<SizeSearchResult> FindExplanationSize(
-      const std::vector<double>& reference, const std::vector<double>& test,
-      double alpha) const;
-
-  /// As FindExplanationSize, but reuses the prepared (already sorted)
-  /// reference — only the test window is validated and sorted per call —
-  /// and runs entirely inside `workspace`: zero allocation once warm
-  /// (SizeSearchResult itself is a plain value and never allocates). Same
-  /// results as FindExplanationSize on the same inputs.
+  /// Phase 1 only: the size k and its Theorem 2 lower bound k_hat, without
+  /// building the explanation. Runs entirely inside `workspace` like
+  /// ExplainPreparedInto (zero allocation once warm); k, k_hat and any
+  /// error status match Explain's on (R, T, alpha) and a valid preference.
   Result<SizeSearchResult> FindExplanationSizeInto(
       const PreparedReference& prepared, const std::vector<double>& test,
       ExplainWorkspace* workspace) const;
@@ -199,9 +190,10 @@ class Moche {
   /// window is evaluated; InvalidArgument (and *outcomes untouched) if any
   /// window holds a non-finite value, if count > 0 with width == 0, or if
   /// data is null with count * width > 0. Zero-allocation once `workspace`
-  /// and `outcomes` are warm (outcomes keeps its capacity). This is the
-  /// triage half of the stream pipeline: DriftMonitor re-checks a batch of
-  /// recent windows in one call, then explains only the rejecting ones.
+  /// and `outcomes` are warm (outcomes keeps its capacity). DriftMonitor's
+  /// kSketched mode calls it with a one-window batch for the exact
+  /// outcome of a window the sketch triage could not settle, or of one
+  /// that fires an explanation.
   Status EvaluateBatchPrepared(const PreparedReference& prepared,
                                const WindowBatch& batch,
                                ExplainWorkspace* workspace,
@@ -223,15 +215,6 @@ class Moche {
                             ExplainWorkspace* workspace,
                             sketch::SketchTriage* triage) const;
 
-  /// Batched triage: as EvaluateBatchPrepared (same batch validation) but
-  /// against the sketch, writing (*triages)[w] for window w. Zero
-  /// allocation once `workspace` and `triages` are warm.
-  Status EvaluateBatchSketched(const sketch::SketchedReference& sketched,
-                               const WindowBatch& batch,
-                               ExplainWorkspace* workspace,
-                               std::vector<sketch::SketchTriage>* triages)
-      const;
-
   const MocheOptions& options() const { return options_; }
 
  private:
@@ -243,7 +226,7 @@ class Moche {
                            ExplainWorkspace* workspace,
                            MocheReport* report) const;
 
-  /// Phase 1, the one copy behind ExplainSortedInto and FindExplanationSize*
+  /// Phase 1, the one copy behind ExplainSortedInto and FindExplanationSizeInto
   /// (same preconditions): validate and sort T, build the frame and bounds
   /// engine, decide from the frame, search the size. Fills
   /// report->original, size_stats, k, k_hat and seconds_size_search.

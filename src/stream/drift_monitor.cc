@@ -330,46 +330,6 @@ Status DriftMonitor::PushBatch(
   return Status::OK();
 }
 
-Status DriftMonitor::RecheckWindows(std::vector<KsOutcome>* outcomes) {
-  // Read-only on the streams, but the packing scratch is member state.
-  MutexLock lock(state_mutex_.get());
-  outcomes->assign(streams_.size(), KsOutcome{});
-  WorkerScratch& scratch = ScratchFor(0);
-  recheck_done_.assign(streams_.size(), 0);
-  for (size_t i = 0; i < streams_.size(); ++i) {
-    if (recheck_done_[i] || !streams_[i].WindowFull()) continue;
-    // Group every not-yet-handled stream sharing this stream's interned
-    // reference and window width, packing their windows contiguously so
-    // the whole group goes through one batched call.
-    const PreparedReference* prepared = streams_[i].prepared.get();
-    const size_t width = streams_[i].window_size();
-    recheck_members_.clear();
-    recheck_buffer_.clear();
-    for (size_t j = i; j < streams_.size(); ++j) {
-      Stream& s = streams_[j];
-      if (recheck_done_[j] || s.prepared.get() != prepared ||
-          !s.WindowFull() || s.window_size() != width) {
-        continue;
-      }
-      recheck_done_[j] = 1;
-      s.WindowContentsInto(&scratch.window);
-      recheck_buffer_.insert(recheck_buffer_.end(), scratch.window.begin(),
-                             scratch.window.end());
-      recheck_members_.push_back(j);
-    }
-    WindowBatch batch;
-    batch.data = recheck_buffer_.data();
-    batch.count = recheck_members_.size();
-    batch.width = width;
-    MOCHE_RETURN_IF_ERROR(engine_.EvaluateBatchPrepared(
-        *prepared, batch, &scratch.workspace, &recheck_outcomes_));
-    for (size_t k = 0; k < recheck_members_.size(); ++k) {
-      (*outcomes)[recheck_members_[k]] = recheck_outcomes_[k];
-    }
-  }
-  return Status::OK();
-}
-
 void DriftMonitor::ClearEvents() {
   MutexLock lock(state_mutex_.get());
   events_.clear();

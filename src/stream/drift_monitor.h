@@ -5,10 +5,10 @@
 // detector (StreamingKs, O(log n + log w) per observation) to an interned
 // PreparedReference; observation batches fan out across a util/parallel
 // ThreadPool, one task per stream. When a stream's window drifts, the
-// monitor runs Moche::ExplainPrepared on the window snapshot and records a
-// DriftEvent. A re-arm policy throttles explanation: one excursion above
-// the threshold yields one event (kOncePerExcursion) or one every k pushes
-// (kEveryKPushes) instead of thousands of duplicates.
+// monitor runs Moche::ExplainPreparedInto on the window snapshot and
+// records a DriftEvent. A re-arm policy throttles explanation: one
+// excursion above the threshold yields one event (kOncePerExcursion) or one
+// every k pushes (kEveryKPushes) instead of thousands of duplicates.
 //
 // Reference modes (MonitorOptions::reference_mode): in the default kExact
 // mode every stream owns a StreamingKs detector whose order-statistic
@@ -25,16 +25,16 @@
 // Moche::TriageSketchedInto. Certified verdicts settle the push on the
 // summary alone; only the uncertain band (and windows that actually fire
 // an explanation) fall back to the interned exact reference, which the
-// fleet still shares once for fallback and for ExplainPrepared. The
+// fleet still shares once for fallback and for ExplainPreparedInto. The
 // trade: a sketched push re-sorts its window (O(w log w) against the
 // summary) instead of the detector's incremental O(log). Both modes keep
 // per-stream state O(w) and intern the exact sample once per fleet, so
 // kSketched is neither a latency nor a memory upgrade over kExact.
 // Detection semantics are recompute semantics — each full window is
-// judged like ks::RunSorted on its snapshot, matching RecheckWindows; the
-// integer-score detector in kExact mode can disagree within ~1e-9 of the
-// decision boundary (see fuzz/streaming_ks_fuzz.cc), so cross-mode event
-// logs are equal on well-separated data but not bit-contractual.
+// judged like ks::RunSorted on its snapshot; the integer-score detector
+// in kExact mode can disagree within ~1e-9 of the decision boundary
+// (see fuzz/streaming_ks_fuzz.cc), so cross-mode event logs are equal on
+// well-separated data but not bit-contractual.
 // Both modes share one drain loop: only the step that judges a full
 // window differs, and the excursion / re-arm / fire policy is written once.
 //
@@ -43,7 +43,8 @@
 // bit-identical to the sequential (num_threads = 1) run at any thread
 // count. Everything per-stream is deterministic — the detector's treap
 // priorities depend only on that stream's insertion sequence, and
-// ExplainPrepared is a pure function of (reference, window, preference).
+// ExplainPreparedInto is a pure function of (reference, window,
+// preference).
 //
 // Threading contract: the monitor is driven from one thread (AddStream /
 // PushBatch / events must not race each other); internally PushBatch
@@ -112,8 +113,10 @@ enum class RearmPolicy {
   kEveryKPushes,
 };
 
-/// Ordering of the preference list handed to ExplainPrepared: which window
-/// points the explanation should prefer to remove on ties.
+/// Ordering of the preference list handed to ExplainPreparedInto: which
+/// window points the explanation should prefer to remove first. Position p
+/// of the list names window position p (kOldestFirst) or w - 1 - p
+/// (kNewestFirst), window positions counted oldest first.
 enum class WindowPreference {
   kOldestFirst,  ///< identity order — prefer the oldest observations
   kNewestFirst,  ///< reversed — prefer the most recent observations
@@ -158,9 +161,12 @@ struct DriftEvent {
   size_t stream = 0;        ///< index of the firing stream
   uint64_t tick = 0;        ///< per-stream observation count at the alarm
   KsOutcome outcome;        ///< the failing test (from the detector)
-  /// ExplainPrepared on the window snapshot. Explanation indices are window
-  /// positions in arrival order (0 = oldest surviving observation at tick).
-  /// Only meaningful when explain_status.ok().
+  /// Prepare + ExplainPreparedInto on the window snapshot (oldest
+  /// observation first) under MonitorOptions::preference: rebuilding that
+  /// window at `tick` and explaining it reproduces status, k, k_hat and
+  /// indices. Explanation indices are window positions in arrival order
+  /// (0 = oldest surviving observation at tick). Only meaningful when
+  /// explain_status.ok().
   MocheReport report;
   Status explain_status;
 };
@@ -228,21 +234,6 @@ class DriftMonitor {
 
   /// Convenience: one observation per stream.
   Status PushTick(const std::vector<double>& values);
-
-  /// Re-runs the KS test on every stream's current window snapshot in
-  /// batched passes: streams sharing an interned PreparedReference and
-  /// window size are packed into one contiguous buffer and evaluated
-  /// through Moche::EvaluateBatchPrepared. A fleet whose streams share one
-  /// reference (the common deployment) is one group, hence one batched
-  /// call. (*outcomes)[i] is stream i's result;
-  /// streams whose window is not yet full are skipped and left
-  /// default-constructed (recognizable by n == 0, impossible for a real
-  /// outcome). Each outcome matches ks::RunSorted(reference, window) on the
-  /// same data. Read-only triage: no detector advances, no event is
-  /// appended, and the re-arm state is untouched — callers decide what to
-  /// do with the rejecting streams (e.g. feed them to the explainer on
-  /// their own schedule).
-  Status RecheckWindows(std::vector<KsOutcome>* outcomes);
 
   /// The drift-event log, oldest first.
   const std::vector<DriftEvent>& events() const { return events_; }
@@ -384,11 +375,6 @@ class DriftMonitor {
   std::vector<std::vector<DriftEvent>> batch_buffers_;
   std::vector<Status> batch_statuses_;
   std::vector<DriftEvent> batch_merged_;
-  // RecheckWindows scratch (same reuse rationale as the batch buffers).
-  std::vector<double> recheck_buffer_;        // packed window batch
-  std::vector<size_t> recheck_members_;       // stream index per batch slot
-  std::vector<KsOutcome> recheck_outcomes_;   // per-group kernel results
-  std::vector<unsigned char> recheck_done_;   // streams already grouped
 };
 
 }  // namespace stream

@@ -67,7 +67,7 @@ uint64_t ReferenceFingerprint(const std::vector<double>& values, double alpha);
 ///
 /// GetOrPrepare/GetOrSketch may be called concurrently; the references
 /// they return are immutable and safe to share across threads (see
-/// Moche::ExplainPrepared / TriageSketchedInto).
+/// Moche::ExplainPreparedInto / TriageSketchedInto).
 class PreparedReferenceCache {
  public:
   struct Options {

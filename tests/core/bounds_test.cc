@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/bounds_witness.h"
 #include "ks/ks_test.h"
 #include "testing_util.h"
 #include "util/rng.h"
@@ -46,7 +47,7 @@ TEST_F(PaperBoundsTest, GammaFormula) {
 
 TEST_F(PaperBoundsTest, ExampleFourSizeOneBoundsContradict) {
   // Paper: at h = 1, l_2 = 2 and u_2 = 1, so no qualified 1-vector exists.
-  const BoundsVectors b = engine_->ComputeBounds(1);
+  const BoundsVectors b = ComputeBounds(*engine_, 1);
   EXPECT_EQ(b.lower[2], 2);
   EXPECT_EQ(b.upper[2], 1);
   EXPECT_FALSE(engine_->ExistsQualified(1));
@@ -56,7 +57,7 @@ TEST_F(PaperBoundsTest, ExampleFourSizeTwoBounds) {
   // At h = 2 a qualified vector exists. (l_1,u_1) = (0,1) as printed in
   // Example 4; for i >= 2 the formulas give l_i = 2 — Example 4's text lists
   // (1,2) but Example 6 confirms l^k_3 = 2, so we encode the formula value.
-  const BoundsVectors b = engine_->ComputeBounds(2);
+  const BoundsVectors b = ComputeBounds(*engine_, 2);
   EXPECT_EQ(b.lower[1], 0);
   EXPECT_EQ(b.upper[1], 1);
   EXPECT_EQ(b.lower[2], 2);
@@ -76,12 +77,12 @@ TEST_F(PaperBoundsTest, NecessaryConditionMatchesExampleFive) {
 }
 
 TEST_F(PaperBoundsTest, ConstructedVectorIsQualified) {
-  auto cum = engine_->ConstructQualifiedVector(2);
+  auto cum = ConstructQualifiedVector(*engine_, 2);
   ASSERT_TRUE(cum.ok());
   EXPECT_EQ(cum->front(), 0);
   EXPECT_EQ(cum->back(), 2);
   // The denoted subset's removal must pass the KS test.
-  const std::vector<double> subset = engine_->VectorToSubset(*cum);
+  const std::vector<double> subset = VectorToSubset(*frame_, *cum);
   ASSERT_EQ(subset.size(), 2u);
   RemovalKs removal({14, 14, 14, 14, 20, 20, 20, 20}, {13, 13, 12, 20}, 0.3);
   for (double v : subset) ASSERT_TRUE(removal.RemoveValue(v).ok());
@@ -89,7 +90,7 @@ TEST_F(PaperBoundsTest, ConstructedVectorIsQualified) {
 }
 
 TEST_F(PaperBoundsTest, ConstructAtInfeasibleSizeFails) {
-  EXPECT_TRUE(engine_->ConstructQualifiedVector(1).status().IsNotFound());
+  EXPECT_TRUE(ConstructQualifiedVector(*engine_, 1).status().IsNotFound());
 }
 
 TEST(CeilFloorTolTest, ExactIntegersAndNearMisses) {
@@ -119,7 +120,7 @@ TEST(BoundsEngineTest, UpperBoundAtLastIndexEqualsH) {
     BoundsEngine engine(*frame, 0.05);
     for (size_t h = 1; h < 20; ++h) {
       if (engine.ExistsQualified(h)) {
-        const BoundsVectors b = engine.ComputeBounds(h);
+        const BoundsVectors b = ComputeBounds(engine, h);
         EXPECT_EQ(b.upper[frame->q()], static_cast<int64_t>(h));
         EXPECT_LE(b.lower[frame->q()], b.upper[frame->q()]);
         break;
@@ -164,9 +165,9 @@ TEST(BoundsEngineTest, ConstructedVectorsPassForAllFeasibleSizes) {
     RemovalKs removal(r, t, 0.05);
     for (size_t h = 1; h <= 11; ++h) {
       if (!engine.ExistsQualified(h)) continue;
-      auto cum = engine.ConstructQualifiedVector(h);
+      auto cum = ConstructQualifiedVector(engine, h);
       ASSERT_TRUE(cum.ok());
-      const std::vector<double> subset = engine.VectorToSubset(*cum);
+      const std::vector<double> subset = VectorToSubset(*frame, *cum);
       ASSERT_EQ(subset.size(), h);
       removal.Reset();
       for (double v : subset) ASSERT_TRUE(removal.RemoveValue(v).ok());

@@ -173,9 +173,13 @@ TEST(MocheTest, FindExplanationSizeOnly) {
   const std::vector<double> r{14, 14, 14, 14, 20, 20, 20, 20};
   const std::vector<double> t{13, 13, 12, 20};
   Moche engine;
-  auto size = engine.FindExplanationSize(r, t, 0.3);
+  auto prepared = engine.Prepare(r, 0.3);
+  ASSERT_TRUE(prepared.ok());
+  ExplainWorkspace workspace;
+  auto size = engine.FindExplanationSizeInto(*prepared, t, &workspace);
   ASSERT_TRUE(size.ok());
   EXPECT_EQ(size->k, 2u);
+  EXPECT_EQ(size->k_hat, 2u);
 }
 
 TEST(MocheTest, ExplanationIsDeterministic) {
@@ -214,6 +218,7 @@ TEST(MocheTest, TimingsArePopulated) {
 TEST(MocheTest, ExplanationSizeMonotoneInAlpha) {
   Rng rng(59);
   Moche engine;
+  ExplainWorkspace workspace;
   for (int rep = 0; rep < 10; ++rep) {
     std::vector<double> r;
     std::vector<double> t;
@@ -221,7 +226,9 @@ TEST(MocheTest, ExplanationSizeMonotoneInAlpha) {
     for (int i = 0; i < 90; ++i) t.push_back(rng.Normal(1.0, 1.2));
     size_t prev_k = 0;
     for (double alpha : {0.01, 0.05, 0.1, 0.2}) {
-      auto size = engine.FindExplanationSize(r, t, alpha);
+      auto prepared = engine.Prepare(r, alpha);
+      ASSERT_TRUE(prepared.ok());
+      auto size = engine.FindExplanationSizeInto(*prepared, t, &workspace);
       if (!size.ok()) continue;  // test passes at this (stricter) alpha
       EXPECT_GE(size->k, prev_k) << "alpha=" << alpha;
       prev_k = size->k;

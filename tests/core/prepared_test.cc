@@ -1,5 +1,5 @@
 // The prepared-instance API: Moche::Prepare sorts/validates the reference
-// once, ExplainPrepared reuses it per test window. Its contract is that
+// once, ExplainPreparedInto reuses it per test window. Its contract is that
 // reports are bit-identical to the one-shot Explain on the same inputs.
 
 #include <algorithm>
@@ -48,10 +48,14 @@ TEST(PreparedReferenceTest, MatchesExplainOnPaperExample) {
 
   auto prepared = engine.Prepare(r, 0.3);
   ASSERT_TRUE(prepared.ok());
-  auto via_prepared = engine.ExplainPrepared(*prepared, t, {3, 2, 1, 0});
-  ASSERT_TRUE(via_prepared.ok());
-  ExpectSameReport(*direct, *via_prepared);
-  EXPECT_EQ(via_prepared->explanation.indices, (std::vector<size_t>{2, 1}));
+  ExplainWorkspace workspace;
+  MocheReport via_prepared;
+  ASSERT_TRUE(engine
+                  .ExplainPreparedInto(*prepared, t, {3, 2, 1, 0}, &workspace,
+                                       &via_prepared)
+                  .ok());
+  ExpectSameReport(*direct, via_prepared);
+  EXPECT_EQ(via_prepared.explanation.indices, (std::vector<size_t>{2, 1}));
 }
 
 TEST(PreparedReferenceTest, OneReferenceManyWindowsMatchesExplain) {
@@ -66,6 +70,8 @@ TEST(PreparedReferenceTest, OneReferenceManyWindowsMatchesExplain) {
   auto prepared = engine.Prepare(reference, 0.05);
   ASSERT_TRUE(prepared.ok());
 
+  ExplainWorkspace workspace;
+  MocheReport via_prepared;
   int explained = 0;
   for (int window = 0; window < 12; ++window) {
     std::vector<double> test;
@@ -74,14 +80,15 @@ TEST(PreparedReferenceTest, OneReferenceManyWindowsMatchesExplain) {
     PreferenceList pref = RandomPreference(test.size(), &rng);
 
     auto direct = engine.Explain(reference, test, 0.05, pref);
-    auto via_prepared = engine.ExplainPrepared(*prepared, test, pref);
-    ASSERT_EQ(direct.ok(), via_prepared.ok()) << "window " << window;
+    const Status status = engine.ExplainPreparedInto(
+        *prepared, test, pref, &workspace, &via_prepared);
+    ASSERT_EQ(direct.ok(), status.ok()) << "window " << window;
     if (!direct.ok()) {
-      EXPECT_EQ(direct.status().code(), via_prepared.status().code());
+      EXPECT_EQ(direct.status().code(), status.code());
       continue;
     }
     ++explained;
-    ExpectSameReport(*direct, *via_prepared);
+    ExpectSameReport(*direct, via_prepared);
   }
   EXPECT_GE(explained, 8);
 }
@@ -173,23 +180,24 @@ TEST(PreparedReferenceTest, AlreadyPassingAndValidationErrors) {
   Moche engine;
   auto prepared = engine.Prepare({1, 2, 3, 4}, 0.05);
   ASSERT_TRUE(prepared.ok());
-  EXPECT_TRUE(engine.ExplainPrepared(*prepared, {1, 2, 3, 4}, {0, 1, 2, 3})
-                  .status()
-                  .IsAlreadyPasses());
+  ExplainWorkspace workspace;
+  MocheReport report;
+  const auto explain = [&](const std::vector<double>& test,
+                           const PreferenceList& pref) {
+    return engine.ExplainPreparedInto(*prepared, test, pref, &workspace,
+                                      &report);
+  };
+  EXPECT_TRUE(explain({1, 2, 3, 4}, {0, 1, 2, 3}).IsAlreadyPasses());
   // bad preference (not a permutation of [0, m))
-  EXPECT_TRUE(engine.ExplainPrepared(*prepared, {9, 9, 9}, {0, 1})
-                  .status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE(explain({9, 9, 9}, {0, 1}).IsInvalidArgument());
   // empty test window
-  EXPECT_TRUE(engine.ExplainPrepared(*prepared, {}, {})
-                  .status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE(explain({}, {}).IsInvalidArgument());
 }
 
 TEST(CumulativeFrameTest, BuildRejectsNonFiniteBeforeSorting) {
   // Regression: Build must validate before sorting — std::sort on a range
-  // containing NaN is undefined behavior, so validation cannot be deferred
-  // to BuildFromSorted.
+  // containing NaN is undefined behavior, and the in-place builder behind
+  // it only DCHECKs its preconditions.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_TRUE(CumulativeFrame::Build({1.0, nan, 0.5}, {1.0})
                   .status()
@@ -197,16 +205,6 @@ TEST(CumulativeFrameTest, BuildRejectsNonFiniteBeforeSorting) {
   EXPECT_TRUE(CumulativeFrame::Build({1.0}, {2.0, nan})
                   .status()
                   .IsInvalidArgument());
-}
-
-TEST(CumulativeFrameTest, BuildFromSortedRejectsUnsortedInput) {
-  EXPECT_TRUE(CumulativeFrame::BuildFromSorted({2.0, 1.0}, {1.0})
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(CumulativeFrame::BuildFromSorted({1.0}, {2.0, 1.0})
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(CumulativeFrame::BuildFromSorted({1.0, 2.0}, {1.0, 3.0}).ok());
 }
 
 }  // namespace

@@ -63,6 +63,7 @@ TEST_P(MocheVsBruteForce, ExplanationSizeMatches) {
   Rng rng(p.seed);
   BruteForceExplainer brute;
   Moche engine;
+  ExplainWorkspace workspace;
   int failing = 0;
   for (int rep = 0; rep < 400 && failing < 30; ++rep) {
     const KsInstance inst = DrawInstance(&rng, p);
@@ -71,8 +72,10 @@ TEST_P(MocheVsBruteForce, ExplanationSizeMatches) {
     if (!outcome->reject) continue;
     ++failing;
 
+    auto prepared = engine.Prepare(inst.reference, inst.alpha);
+    ASSERT_TRUE(prepared.ok());
     auto size =
-        engine.FindExplanationSize(inst.reference, inst.test, inst.alpha);
+        engine.FindExplanationSizeInto(*prepared, inst.test, &workspace);
     auto expected = brute.MinimalSize(inst);
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(size.ok()) << "MOCHE failed where brute force found k="
@@ -136,6 +139,7 @@ TEST_P(MocheVsBruteForce, NoSmallerSubsetReverses) {
   Rng rng(p.seed + 3);
   BruteForceExplainer brute;
   Moche engine;
+  ExplainWorkspace workspace;
   int failing = 0;
   for (int rep = 0; rep < 300 && failing < 10; ++rep) {
     const KsInstance inst = DrawInstance(&rng, p);
@@ -143,8 +147,10 @@ TEST_P(MocheVsBruteForce, NoSmallerSubsetReverses) {
     ASSERT_TRUE(outcome.ok());
     if (!outcome->reject) continue;
     ++failing;
+    auto prepared = engine.Prepare(inst.reference, inst.alpha);
+    ASSERT_TRUE(prepared.ok());
     auto size =
-        engine.FindExplanationSize(inst.reference, inst.test, inst.alpha);
+        engine.FindExplanationSizeInto(*prepared, inst.test, &workspace);
     ASSERT_TRUE(size.ok());
     if (size->k == 1) continue;
     auto smaller = brute.ExistsQualifiedSubset(inst, size->k - 1);

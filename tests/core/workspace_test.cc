@@ -1,9 +1,10 @@
 // The workspace entry points (Moche::ExplainPreparedInto / ExplainInto /
-// FindExplanationSizeInto) must produce reports bit-identical to their
-// one-shot counterparts — a recycled workspace and report carry no state
-// from one call into the next.
+// FindExplanationSizeInto) must produce reports bit-identical to the
+// one-shot Explain — a recycled workspace and report carry no state from
+// one call into the next.
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -50,7 +51,8 @@ TEST(ExplainWorkspaceTest, RecycledWorkspaceMatchesExplainPrepared) {
   ASSERT_TRUE(prepared.ok());
 
   // One workspace and one report recycled across windows of DIFFERENT
-  // sizes and drift strengths — every report must equal the one-shot call.
+  // sizes and drift strengths — every report must equal the one-shot
+  // Explain, which sorts the reference per call.
   ExplainWorkspace workspace;
   MocheReport report;
   int explained = 0;
@@ -60,7 +62,7 @@ TEST(ExplainWorkspaceTest, RecycledWorkspaceMatchesExplainPrepared) {
     const std::vector<double> test = NormalSample(&rng, m, shift, 1.05);
     const PreferenceList pref = RandomPreference(m, &rng);
 
-    auto one_shot = engine.ExplainPrepared(*prepared, test, pref);
+    auto one_shot = engine.Explain(reference, test, 0.05, pref);
     const Status into_status =
         engine.ExplainPreparedInto(*prepared, test, pref, &workspace, &report);
     ASSERT_EQ(one_shot.ok(), into_status.ok()) << "window " << w;
@@ -141,7 +143,7 @@ TEST(ExplainWorkspaceTest, ErrorPathsMatchOneShot) {
 }
 
 // FindExplanationSizeInto over a prepared reference, with one workspace
-// recycled across windows, matches the one-shot FindExplanationSize.
+// recycled across windows, matches phase 1 of the one-shot Explain.
 TEST(FindExplanationSizePreparedTest, MatchesUnpreparedVariant) {
   Rng rng(555);
   const std::vector<double> reference = NormalSample(&rng, 250, 0.0, 1.0);
@@ -154,21 +156,23 @@ TEST(FindExplanationSizePreparedTest, MatchesUnpreparedVariant) {
   for (int w = 0; w < 8; ++w) {
     const std::vector<double> test =
         NormalSample(&rng, 80, 0.4 + 0.2 * w, 1.0);
-    auto direct = engine.FindExplanationSize(reference, test, 0.05);
+    auto report = engine.Explain(reference, test, 0.05,
+                                 IdentityPreference(test.size()));
     auto via_workspace =
         engine.FindExplanationSizeInto(*prepared, test, &workspace);
-    ASSERT_EQ(direct.ok(), via_workspace.ok()) << "window " << w;
-    if (!direct.ok()) {
-      EXPECT_EQ(direct.status().code(), via_workspace.status().code());
+    ASSERT_EQ(report.ok(), via_workspace.ok()) << "window " << w;
+    if (!report.ok()) {
+      EXPECT_EQ(report.status().code(), via_workspace.status().code());
       continue;
     }
     ++sized;
-    EXPECT_EQ(direct->k, via_workspace->k);
-    EXPECT_EQ(direct->k_hat, via_workspace->k_hat);
-    EXPECT_EQ(direct->theorem1_checks, via_workspace->theorem1_checks);
-    EXPECT_EQ(direct->theorem2_checks, via_workspace->theorem2_checks);
-    EXPECT_EQ(direct->probe_refutations, via_workspace->probe_refutations);
-    EXPECT_EQ(direct->full_scans, via_workspace->full_scans);
+    const SizeSearchResult& direct = report->size_stats;
+    EXPECT_EQ(report->k, via_workspace->k);
+    EXPECT_EQ(report->k_hat, via_workspace->k_hat);
+    EXPECT_EQ(direct.theorem1_checks, via_workspace->theorem1_checks);
+    EXPECT_EQ(direct.theorem2_checks, via_workspace->theorem2_checks);
+    EXPECT_EQ(direct.probe_refutations, via_workspace->probe_refutations);
+    EXPECT_EQ(direct.full_scans, via_workspace->full_scans);
   }
   EXPECT_GE(sized, 4);
 }
@@ -185,15 +189,17 @@ TEST(FindExplanationSizePreparedTest, AlreadyPassesAndValidation) {
   EXPECT_TRUE(engine.FindExplanationSizeInto(*prepared, {}, &workspace)
                   .status()
                   .IsInvalidArgument());
-  // The one-shot wrapper agrees, and validates the reference and alpha.
-  const auto one_shot = [&](const std::vector<double>& r,
-                            const std::vector<double>& t, double alpha) {
-    return engine.FindExplanationSize(r, t, alpha).status();
-  };
-  EXPECT_TRUE(one_shot({1, 2, 3, 4}, {1, 2, 3, 4}, 0.05).IsAlreadyPasses());
-  EXPECT_TRUE(one_shot({1, 2, 3, 4}, {}, 0.05).IsInvalidArgument());
-  EXPECT_TRUE(one_shot({}, {1, 2}, 0.05).IsInvalidArgument());
-  EXPECT_TRUE(one_shot({1, 2}, {3, 4}, 2.5).IsInvalidArgument());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(engine.FindExplanationSizeInto(*prepared, {1, nan}, &workspace)
+                  .status()
+                  .IsInvalidArgument());
+  // A failed call must not poison the workspace for the next one.
+  auto paper = engine.Prepare({14, 14, 14, 14, 20, 20, 20, 20}, 0.3);
+  ASSERT_TRUE(paper.ok());
+  auto size = engine.FindExplanationSizeInto(*paper, {13, 13, 12, 20},
+                                             &workspace);
+  ASSERT_TRUE(size.ok());
+  EXPECT_EQ(size->k, 2u);
 }
 
 }  // namespace

@@ -45,7 +45,10 @@ TEST_F(CovidDataTest, ExplanationSizeNearPaperValue) {
   // small single-digit percentage of the 3375 test points.
   Moche engine;
   const KsInstance inst = data_.MakeInstance(0.05);
-  auto size = engine.FindExplanationSize(inst.reference, inst.test, 0.05);
+  auto prepared = engine.Prepare(inst.reference, 0.05);
+  ASSERT_TRUE(prepared.ok());
+  ExplainWorkspace workspace;
+  auto size = engine.FindExplanationSizeInto(*prepared, inst.test, &workspace);
   ASSERT_TRUE(size.ok());
   EXPECT_GE(size->k, 150u);
   EXPECT_LE(size->k, 450u);

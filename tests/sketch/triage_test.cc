@@ -1,5 +1,5 @@
 // Certified-triage properties (src/sketch/sketched_reference.h and
-// Moche::TriageSketchedInto / EvaluateBatchSketched).
+// Moche::TriageSketchedInto).
 //
 // The contract under test: a kCertainPass / kCertainFail verdict is
 // CERTIFIED — the exact ks::Run decision on the same (reference, window)
@@ -117,51 +117,17 @@ TEST(SketchTriageTest, CertifiedVerdictsAgreeWithExactKs) {
   EXPECT_TRUE(saw_fail);
   EXPECT_GT(certified, 0u);
   EXPECT_GT(uncertain, 0u);
-}
 
-TEST(SketchTriageTest, BatchedTriageMatchesPerWindowTriage) {
-  Rng rng(103);
-  const double alpha = 0.05;
-  std::vector<double> reference;
-  for (int i = 0; i < 2000; ++i) reference.push_back(rng.Uniform(0.0, 1.0));
-  const Moche engine{MocheOptions{}};
-  const SketchedReference sketched = MakeSketched(reference, alpha, 64);
-
-  const size_t count = 9;
-  const size_t width = 50;
-  std::vector<double> flat;
-  for (size_t w = 0; w < count; ++w) {
-    const double shift = 0.15 * static_cast<double>(w % 3);
-    for (size_t j = 0; j < width; ++j) {
-      flat.push_back(rng.Uniform(shift, 1.0 + shift));
-    }
-  }
-  WindowBatch batch;
-  batch.data = flat.data();
-  batch.count = count;
-  batch.width = width;
-
+  // A window holding a non-finite value, or none at all, is rejected
+  // before it is sorted.
   ExplainWorkspace workspace;
-  std::vector<SketchTriage> triages;
-  ASSERT_TRUE(
-      engine.EvaluateBatchSketched(sketched, batch, &workspace, &triages)
-          .ok());
-  ASSERT_EQ(triages.size(), count);
-  for (size_t w = 0; w < count; ++w) {
-    const std::vector<double> window(flat.begin() + w * width,
-                                     flat.begin() + (w + 1) * width);
-    const SketchTriage single = Triage(engine, sketched, window);
-    EXPECT_EQ(triages[w].verdict, single.verdict);
-    EXPECT_EQ(triages[w].statistic, single.statistic);  // bit-identical
-    EXPECT_EQ(triages[w].lower, single.lower);
-    EXPECT_EQ(triages[w].upper, single.upper);
-  }
-
-  // Batch validation mirrors EvaluateBatchPrepared.
-  flat[3] = std::nan("");
-  EXPECT_FALSE(
-      engine.EvaluateBatchSketched(sketched, batch, &workspace, &triages)
-          .ok());
+  SketchTriage triage;
+  EXPECT_TRUE(engine
+                  .TriageSketchedInto(sketched, {0.5, std::nan("")},
+                                      &workspace, &triage)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(engine.TriageSketchedInto(sketched, {}, &workspace, &triage)
+                  .IsInvalidArgument());
 }
 
 TEST(SketchTriageTest, SerializeRoundTripPreservesTriage) {

@@ -265,89 +265,6 @@ TEST(DriftMonitorTest, PushTickFeedsOneObservationPerStream) {
   EXPECT_EQ(monitor->stats().observations, 2u);
 }
 
-TEST(DriftMonitorTest, RecheckWindowsMatchesRunSortedPerStream) {
-  // Heterogeneous fleet: streams 0/1 share a reference AND a window size
-  // (one batched group), stream 2 shares the reference at a different
-  // window size, stream 3 has its own reference. RecheckWindows must give
-  // each full stream exactly ks::RunSorted on its window, regardless of
-  // how the streams were grouped into batched calls.
-  auto monitor = DriftMonitor::Create(MonitorOptions{});
-  ASSERT_TRUE(monitor.ok());
-  Rng rng(kSeed);
-  std::vector<double> ref_a;
-  std::vector<double> ref_b;
-  for (int i = 0; i < 200; ++i) ref_a.push_back(rng.Normal(0, 1));
-  for (int i = 0; i < 150; ++i) ref_b.push_back(rng.Normal(1, 2));
-  ASSERT_TRUE(monitor->AddStream("a0", ref_a, 40).ok());
-  ASSERT_TRUE(monitor->AddStream("a1", ref_a, 40).ok());
-  ASSERT_TRUE(monitor->AddStream("a2", ref_a, 25).ok());
-  ASSERT_TRUE(monitor->AddStream("b0", ref_b, 40).ok());
-  ASSERT_TRUE(monitor->AddStream("late", ref_a, 40).ok());  // never fills
-
-  // 60 ticks: every stream but "late" (fed only 10) has a full window.
-  std::vector<std::vector<double>> batch(5);
-  std::vector<std::vector<double>> pushed(5);
-  for (int t = 0; t < 60; ++t) {
-    for (size_t i = 0; i < 4; ++i) {
-      batch[i] = {rng.Normal(0.4 * static_cast<double>(i), 1.0)};
-      pushed[i].push_back(batch[i][0]);
-    }
-    batch[4].clear();
-    if (t < 10) {
-      batch[4] = {rng.Normal(0, 1)};
-      pushed[4].push_back(batch[4][0]);
-    }
-    ASSERT_TRUE(monitor->PushBatch(batch).ok());
-  }
-
-  const auto events_before = monitor->events().size();
-  const auto ticks_before = monitor->stream_ticks(0);
-  std::vector<KsOutcome> outcomes;
-  ASSERT_TRUE(monitor->RecheckWindows(&outcomes).ok());
-  ASSERT_EQ(outcomes.size(), 5u);
-
-  const size_t windows[] = {40, 40, 25, 40, 40};
-  for (size_t i = 0; i < 4; ++i) {
-    std::vector<double> ref = (i == 3) ? ref_b : ref_a;
-    std::sort(ref.begin(), ref.end());
-    std::vector<double> window(pushed[i].end() -
-                                   static_cast<long>(windows[i]),
-                               pushed[i].end());
-    std::sort(window.begin(), window.end());
-    auto solo = ks::RunSorted(ref, window, monitor->options().alpha);
-    ASSERT_TRUE(solo.ok()) << "stream " << i;
-    EXPECT_EQ(outcomes[i].statistic, solo->statistic) << "stream " << i;
-    EXPECT_EQ(outcomes[i].threshold, solo->threshold) << "stream " << i;
-    EXPECT_EQ(outcomes[i].location, solo->location) << "stream " << i;
-    EXPECT_EQ(outcomes[i].reject, solo->reject) << "stream " << i;
-    EXPECT_EQ(outcomes[i].n, solo->n) << "stream " << i;
-    EXPECT_EQ(outcomes[i].m, windows[i]) << "stream " << i;
-  }
-  // The non-full stream is skipped, recognizable by the impossible n == 0.
-  EXPECT_EQ(outcomes[4].n, 0u);
-  EXPECT_EQ(outcomes[4].m, 0u);
-
-  // Read-only triage: no events appended, no detector advanced, and a
-  // second call reproduces the same outcomes from the same windows.
-  EXPECT_EQ(monitor->events().size(), events_before);
-  EXPECT_EQ(monitor->stream_ticks(0), ticks_before);
-  std::vector<KsOutcome> again;
-  ASSERT_TRUE(monitor->RecheckWindows(&again).ok());
-  ASSERT_EQ(again.size(), outcomes.size());
-  for (size_t i = 0; i < again.size(); ++i) {
-    EXPECT_EQ(again[i].statistic, outcomes[i].statistic);
-    EXPECT_EQ(again[i].reject, outcomes[i].reject);
-  }
-}
-
-TEST(DriftMonitorTest, RecheckWindowsOnEmptyMonitorIsOk) {
-  auto monitor = DriftMonitor::Create(MonitorOptions{});
-  ASSERT_TRUE(monitor.ok());
-  std::vector<KsOutcome> outcomes{{}, {}};
-  ASSERT_TRUE(monitor->RecheckWindows(&outcomes).ok());
-  EXPECT_TRUE(outcomes.empty());
-}
-
 TEST(SketchedMonitorTest, CreateValidatesSketchK) {
   MonitorOptions options;
   options.reference_mode = ReferenceMode::kSketched;
@@ -387,6 +304,22 @@ TEST(SketchedMonitorTest, DetectsAndExplainsInjectedDrift) {
   EXPECT_GT(event.report.k, 0u);
   EXPECT_FALSE(event.report.after.reject);
 
+  // Recompute semantics: whichever verdict led to it, every event carries
+  // exactly ks::RunSorted's outcome on the window it fired on.
+  std::vector<double> sorted_ref = sc.reference;
+  std::sort(sorted_ref.begin(), sorted_ref.end());
+  for (const DriftEvent& e : f.monitor.events()) {
+    const auto end = sc.observations.begin() + static_cast<long>(e.tick);
+    std::vector<double> snapshot(end - static_cast<long>(window), end);
+    std::sort(snapshot.begin(), snapshot.end());
+    auto solo = ks::RunSorted(sorted_ref, snapshot, options.alpha);
+    ASSERT_TRUE(solo.ok()) << "tick " << e.tick;
+    EXPECT_EQ(e.outcome.statistic, solo->statistic) << "tick " << e.tick;
+    EXPECT_EQ(e.outcome.threshold, solo->threshold) << "tick " << e.tick;
+    EXPECT_EQ(e.outcome.location, solo->location) << "tick " << e.tick;
+    EXPECT_EQ(e.outcome.reject, solo->reject) << "tick " << e.tick;
+  }
+
   // Every full window went through the triage exactly once, and the
   // healthy pre-drift stretch produced certified passes (the cheap path).
   const auto stats = f.monitor.stats();
@@ -397,46 +330,6 @@ TEST(SketchedMonitorTest, DetectsAndExplainsInjectedDrift) {
             full_windows);
   EXPECT_GT(stats.triage_certified_pass, 0u);
   EXPECT_GT(stats.triage_certified_fail, 0u);
-}
-
-TEST(SketchedMonitorTest, RecheckWindowsMatchesRunSorted) {
-  // Detection in sketched mode is defined by recompute semantics, so the
-  // read-only RecheckWindows oracle must still be exactly ks::RunSorted on
-  // each full ring — the sketch only triages which windows pay for it.
-  MonitorOptions options;
-  options.reference_mode = ReferenceMode::kSketched;
-  options.sketch_k = 64;
-  auto monitor = DriftMonitor::Create(options);
-  ASSERT_TRUE(monitor.ok());
-  Rng rng(kSeed);
-  std::vector<double> ref;
-  for (int i = 0; i < 200; ++i) ref.push_back(rng.Normal(0, 1));
-  ASSERT_TRUE(monitor->AddStream("full", ref, 40).ok());
-  ASSERT_TRUE(monitor->AddStream("late", ref, 40).ok());  // never fills
-
-  std::vector<double> pushed;
-  for (int t = 0; t < 55; ++t) {
-    std::vector<std::vector<double>> batch(2);
-    batch[0] = {rng.Normal(0.5, 1.0)};
-    pushed.push_back(batch[0][0]);
-    if (t < 10) batch[1] = {rng.Normal(0, 1)};
-    ASSERT_TRUE(monitor->PushBatch(batch).ok());
-  }
-
-  std::vector<KsOutcome> outcomes;
-  ASSERT_TRUE(monitor->RecheckWindows(&outcomes).ok());
-  ASSERT_EQ(outcomes.size(), 2u);
-  std::vector<double> sorted_ref = ref;
-  std::sort(sorted_ref.begin(), sorted_ref.end());
-  std::vector<double> window(pushed.end() - 40, pushed.end());
-  std::sort(window.begin(), window.end());
-  auto solo = ks::RunSorted(sorted_ref, window, monitor->options().alpha);
-  ASSERT_TRUE(solo.ok());
-  EXPECT_EQ(outcomes[0].statistic, solo->statistic);
-  EXPECT_EQ(outcomes[0].reject, solo->reject);
-  EXPECT_EQ(outcomes[0].n, solo->n);
-  // The non-full stream is skipped (impossible n == 0), as in exact mode.
-  EXPECT_EQ(outcomes[1].n, 0u);
 }
 
 TEST(SketchedMonitorTest, PinnedReferencesIgnoreTheCacheBound) {
