@@ -2,6 +2,8 @@
 // bench runner (bench/runner.h):
 //  * KS statistic (sorted-merge) and RemovalKs re-evaluation, the latter
 //    also with a w = 1000 window against n = 5000 and 100000 references,
+//  * SortDoubles on a 100k reference (plain and tie-heavy) and on w = 1000
+//    windows,
 //  * Theorem 1 existence check and Theorem 2 condition,
 //  * phase 1 with/without the binary-searched lower bound (MOCHE vs
 //    MOCHE_ns), which also covers the SizeScan incremental size walk,
@@ -25,9 +27,11 @@
 // operation batch, so medians are comparable across runs and commits.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "alloc_probe.h"
@@ -39,6 +43,7 @@
 #include "ks/ks_test.h"
 #include "runner.h"
 #include "util/rng.h"
+#include "util/sort.h"
 
 namespace {
 
@@ -222,6 +227,52 @@ int main(int argc, char** argv) {
                             ".w" + std::to_string(kFleetWindow),
                         stats, 1, static_cast<double>(ops), "s/op");
     std::printf("  removal_ks n=%zu w=%zu done\n", ref_size, kFleetWindow);
+  }
+
+  // The one double sort (util/sort.h) on the shapes the library sorts: an
+  // N(0,1) reference of 100000 values (exact_fleet's, sorted once per
+  // Prepare), the same values rounded to 0.1 (heavy ties), and w = 1000
+  // N(0,1) windows (a sketched push sorts one). The windows are 64
+  // distinct draws, so no run replays one input's branch history. Each
+  // op copies its input into a warm buffer and sorts it there;
+  // ks_statistic is the control row.
+  {
+    constexpr size_t kRefSize = 100000;
+    constexpr size_t kWindows = 64;
+    Rng rng(31);
+    std::vector<double> normal(kRefSize);
+    std::vector<double> ties(kRefSize);
+    for (size_t i = 0; i < kRefSize; ++i) {
+      normal[i] = rng.Normal();
+      ties[i] = std::round(normal[i] * 10.0) / 10.0;
+    }
+    std::vector<double> windows(kWindows * kFleetWindow);
+    for (double& v : windows) v = rng.Normal();
+    std::vector<double> buffer;
+    const std::pair<const char*, const std::vector<double>*> references[] = {
+        {"sort.n100000", &normal}, {"sort.ties.n100000", &ties}};
+    for (const auto& [metric, input] : references) {
+      auto stats = bench::Measure(
+          [&] {
+            buffer.assign(input->begin(), input->end());
+            SortDoubles(buffer.data(), buffer.size());
+          },
+          wl.reps);
+      bench::AppendTiming(&results, kBench, metric, stats, 1, 1.0, "s/op");
+    }
+    auto stats = bench::Measure(
+        [&] {
+          for (size_t w = 0; w < kWindows; ++w) {
+            const double* window = windows.data() + w * kFleetWindow;
+            buffer.assign(window, window + kFleetWindow);
+            SortDoubles(buffer.data(), buffer.size());
+          }
+        },
+        wl.reps);
+    bench::AppendTiming(&results, kBench,
+                        "sort.w" + std::to_string(kFleetWindow), stats, 1,
+                        static_cast<double>(kWindows), "s/op");
+    std::printf("  sort done\n");
   }
 
   // Ablation: phase 1 with the Theorem 2 lower bound, and the MOCHE_ns

@@ -1,5 +1,6 @@
 // Differential oracle: ks::Statistic / StatisticSorted and RemovalKs's
-// re-tests against a naive double-loop ECDF reference.
+// re-tests against a naive double-loop ECDF reference, and SortDoubles
+// against std::sort by the same key.
 //
 // The reference recomputes D(R,T) the textbook way — for every grid value
 // x, count r <= x and t <= x with two linear scans and take
@@ -18,6 +19,7 @@
 #include "fuzz_target.h"
 #include "ks/ks_test.h"
 #include "provider.h"
+#include "util/sort.h"
 
 namespace {
 
@@ -195,5 +197,28 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       }
     }
   }
+
+  // SortDoubles against std::sort by the same key, bit for bit, on R and T
+  // (±0.0, denormals, ties) laced with raw bit patterns (NaN payloads,
+  // ±Inf) and tiled so the larger draws cross kSortSmallRange into
+  // the radix path. Drawn last, so existing seeds decode as before.
+  std::vector<double> sample = r;
+  sample.insert(sample.end(), t.begin(), t.end());
+  const size_t raw = in.SizeInRange(0, 16);
+  for (size_t i = 0; i < raw; ++i) sample.push_back(in.RawDouble());
+  const size_t copies = in.SizeInRange(1, 24);
+  std::vector<double> got;
+  for (size_t c = 0; c < copies; ++c) {
+    got.insert(got.end(), sample.begin(), sample.end());
+  }
+  std::vector<double> want = got;
+  std::sort(want.begin(), want.end(), [](double a, double b) {
+    return moche::DoubleSortKey(a) < moche::DoubleSortKey(b);
+  });
+  moche::SortDoubles(got.data(), got.size());
+  MOCHE_FUZZ_CHECK(std::memcmp(got.data(), want.data(),
+                               got.size() * sizeof(double)) == 0,
+                   "SortDoubles differs from the key-order oracle (n=%zu)",
+                   got.size());
   return 0;
 }

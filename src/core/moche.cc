@@ -6,6 +6,7 @@
 
 #include "core/bounds.h"
 #include "core/cumulative.h"
+#include "util/sort.h"
 #include "util/stats.h"
 #include "util/timer.h"
 
@@ -13,11 +14,11 @@ namespace moche {
 
 namespace {
 
-// Copies `count` validated (finite) values into *sorted and sorts them.
+// Copies `count` values into *sorted and sorts them.
 void SortInto(const double* values, size_t count,
               std::vector<double>* sorted) {
   sorted->assign(values, values + count);
-  std::sort(sorted->begin(), sorted->end());
+  SortDoubles(sorted->data(), sorted->size());
 }
 
 // Validates (reference, alpha) and writes the sorted reference to *sorted:
@@ -106,7 +107,7 @@ Result<PreparedReference> Moche::Prepare(std::vector<double> reference,
   MOCHE_RETURN_IF_ERROR(ks::ValidateSample(reference, "reference set"));
   MOCHE_RETURN_IF_ERROR(ks::ValidateAlpha(alpha));
   PreparedReference prepared;
-  std::sort(reference.begin(), reference.end());
+  SortDoubles(reference.data(), reference.size());
   prepared.sorted_reference_ = std::move(reference);
   prepared.alpha_ = alpha;
   return prepared;

@@ -24,7 +24,7 @@
 //
 // Input conventions: samples must be non-empty and finite —
 // ks::ValidateSample rejects NaN/Inf up front with InvalidArgument, so the
-// numeric core never sorts or compares a NaN (which would be UB). alpha
+// numeric core never sorts or compares a NaN (it has no rank). alpha
 // must lie in (0, 2), the domain of the critical value c_alpha. The
 // determinism, data-flow, and NaN/empty-sample contracts are collected in
 // docs/ARCHITECTURE.md.
@@ -100,7 +100,8 @@ class PreparedReference {
   /// everything Prepare guarantees — alpha domain, non-empty, all-finite,
   /// ascending order — so a corrupted snapshot can never mint a
   /// PreparedReference that breaks the Unchecked hot-path invariants;
-  /// restoring skips only the O(n log n) sort, not the checks.
+  /// restoring skips only the sort (SortDoubles, an in-place radix sort of
+  /// a few linear passes), not the checks.
   static Result<PreparedReference> DeserializeFrom(bin::Reader* reader);
 
  private:

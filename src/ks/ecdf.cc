@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "util/sort.h"
+
 namespace moche {
 
 namespace {
@@ -19,12 +21,10 @@ bool ContainsNan(const std::vector<double>& v) {
 
 Ecdf::Ecdf(std::vector<double> sample)
     : sorted_(std::move(sample)), has_nan_(ContainsNan(sorted_)) {
-  // std::sort on a NaN-bearing range is undefined behavior (operator< is
-  // not a strict weak order over NaN), so a poisoned sample is left
-  // unsorted and Evaluate reports NaN instead.
+  // A NaN observation has no rank, so a poisoned sample is left unsorted
+  // and Evaluate reports NaN instead.
   if (has_nan_) return;
-  // moche-lint: allow(sort-doubles): range screened NaN-free above
-  std::sort(sorted_.begin(), sorted_.end());
+  SortDoubles(sorted_.data(), sorted_.size());
 }
 
 double Ecdf::Evaluate(double x) const {
@@ -44,18 +44,15 @@ double EcdfRmse(const std::vector<double>& r, const std::vector<double>& t) {
   if (r.empty() || t.empty()) {
     return std::numeric_limits<double>::quiet_NaN();
   }
-  // A NaN observation has no rank: sorting it is UB and the merge walk
-  // below would spin forever on `rs[i] == x` never holding. Poison the
-  // metric instead.
+  // A NaN observation has no rank: the merge walk below would spin
+  // forever on `rs[i] == x` never holding. Poison the metric instead.
   if (ContainsNan(r) || ContainsNan(t)) {
     return std::numeric_limits<double>::quiet_NaN();
   }
   std::vector<double> rs = r;
   std::vector<double> ts = t;
-  // moche-lint: allow(sort-doubles): range screened NaN-free above
-  std::sort(rs.begin(), rs.end());
-  // moche-lint: allow(sort-doubles): range screened NaN-free above
-  std::sort(ts.begin(), ts.end());
+  SortDoubles(rs.data(), rs.size());
+  SortDoubles(ts.data(), ts.size());
   const double n = static_cast<double>(rs.size());
   const double m = static_cast<double>(ts.size());
 

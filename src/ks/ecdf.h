@@ -17,10 +17,8 @@ namespace moche {
 /// Construction sorts a copy of the sample once; evaluation is a binary
 /// search. The sample must be non-empty for Evaluate to be meaningful.
 ///
-/// A sample containing NaN has no order statistics — and handing NaN to
-/// std::sort is undefined behavior (operator< on NaN is not a strict weak
-/// order). Such a sample poisons the Ecdf: construction skips the sort and
-/// Evaluate always returns NaN.
+/// A sample containing NaN has no order statistics. Such a sample poisons
+/// the Ecdf: construction skips the sort and Evaluate always returns NaN.
 class Ecdf {
  public:
   /// Builds from an arbitrary-order sample (copied and sorted).

@@ -6,6 +6,7 @@
 
 #include "ks/rank_walk.h"
 #include "util/logging.h"
+#include "util/sort.h"
 #include "util/stats.h"
 #include "util/string_util.h"
 
@@ -97,8 +98,8 @@ double StatisticSorted(const std::vector<double>& r_sorted,
 
 double Statistic(std::vector<double> r, std::vector<double> t,
                  double* location) {
-  // Screen before sorting: std::sort on a NaN-bearing range is UB. (Inf is
-  // fine here — it has a rank; only Run/ValidateSample reject it.)
+  // Screen before sorting: a NaN observation has no rank. (Inf is fine
+  // here — it has a rank; only Run/ValidateSample reject it.)
   for (const std::vector<double>* s : {&r, &t}) {
     for (double v : *s) {
       if (std::isnan(v)) {
@@ -107,10 +108,8 @@ double Statistic(std::vector<double> r, std::vector<double> t,
       }
     }
   }
-  // moche-lint: allow(sort-doubles): ranges screened NaN-free above
-  std::sort(r.begin(), r.end());
-  // moche-lint: allow(sort-doubles): ranges screened NaN-free above
-  std::sort(t.begin(), t.end());
+  SortDoubles(r.data(), r.size());
+  SortDoubles(t.data(), t.size());
   return StatisticSorted(r, t, location);
 }
 
@@ -141,14 +140,12 @@ Result<KsOutcome> RunSorted(const std::vector<double>& r_sorted,
 
 Result<KsOutcome> Run(std::vector<double> r, std::vector<double> t,
                       double alpha) {
-  // Validate before sorting — a NaN must never reach std::sort (UB).
-  // RunSorted re-validates; AllFinite is one cheap linear pass.
+  // Validate before sorting so a bad sample costs no sort. RunSorted
+  // re-validates; AllFinite is one cheap linear pass.
   MOCHE_RETURN_IF_ERROR(ValidateSample(r, "reference set"));
   MOCHE_RETURN_IF_ERROR(ValidateSample(t, "test set"));
-  // moche-lint: allow(sort-doubles): ranges validated finite above
-  std::sort(r.begin(), r.end());
-  // moche-lint: allow(sort-doubles): ranges validated finite above
-  std::sort(t.begin(), t.end());
+  SortDoubles(r.data(), r.size());
+  SortDoubles(t.data(), t.size());
   return RunSorted(r, t, alpha);
 }
 
@@ -192,10 +189,8 @@ RemovalKs::RemovalKs(const std::vector<double>& r,
   MOCHE_DCHECK(!r.empty());
   std::vector<double> rs = r;
   std::vector<double> ts = t;
-  // moche-lint: allow(sort-doubles): documented precondition — callers validate via ks::ValidateSample
-  std::sort(rs.begin(), rs.end());
-  // moche-lint: allow(sort-doubles): documented precondition — callers validate via ks::ValidateSample
-  std::sort(ts.begin(), ts.end());
+  SortDoubles(rs.data(), rs.size());
+  SortDoubles(ts.data(), ts.size());
   front_ = rs.empty() ? 0.0 : rs.front();
   // C_R never changes, so it is stored as double (exact — counts are far
   // below 2^53) and every CurrentOutcome streams it straight into the

@@ -11,8 +11,8 @@
 //
 // NaN/empty-sample conventions (shared with the rest of the tree, see
 // docs/ARCHITECTURE.md): the Status-returning entry points reject empty
-// samples and non-finite values via ValidateSample (a NaN must never reach
-// std::sort — strict-weak-ordering UB); the Statistic* primitives assume
+// samples and non-finite values via ValidateSample (a NaN has no rank, so
+// it has no statistic); the Statistic* primitives assume
 // validated input and define the degenerate cases deterministically —
 // D = 1 when exactly one sample is empty (location: the smallest value of
 // the non-empty sample), D = 0 and location 0.0 when both are.
@@ -84,7 +84,7 @@ double StatisticSorted(const std::vector<double>& r_sorted,
 
 /// D(R,T) for samples in arbitrary order (sorts copies). Returns NaN (and
 /// location 0.0) if either sample contains NaN — a NaN observation has no
-/// rank, and handing it to std::sort would be UB, not a statistic.
+/// rank, so there is no statistic.
 double Statistic(std::vector<double> r, std::vector<double> t,
                  double* location = nullptr);
 

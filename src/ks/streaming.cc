@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/logging.h"
+#include "util/sort.h"
 #include "util/string_util.h"
 
 namespace moche {
@@ -288,8 +289,7 @@ Result<StreamingKs> StreamingKs::Create(const std::vector<double>& reference,
                                         size_t window_size, double alpha) {
   MOCHE_RETURN_IF_ERROR(ks::ValidateSample(reference, "reference set"));
   auto sorted = std::make_shared<std::vector<double>>(reference);
-  // moche-lint: allow(sort-doubles): ValidateSample rejected non-finite values
-  std::sort(sorted->begin(), sorted->end());
+  SortDoubles(sorted->data(), sorted->size());
   return CreateOverSorted(std::move(sorted), window_size, alpha);
 }
 
@@ -380,8 +380,7 @@ Result<StreamingKs> StreamingKs::DeserializeState(
   // the treap is built from one sorted copy of the window rather than by
   // replaying it through Push.
   std::vector<double> sorted = stream.window_;
-  // moche-lint: allow(sort-doubles): every value was checked finite above
-  std::sort(sorted.begin(), sorted.end());
+  SortDoubles(sorted.data(), sorted.size());
   stream.treap_->BuildSorted(sorted, *stream.reference_,
                              static_cast<int64_t>(n),
                              static_cast<int64_t>(window_size));

@@ -25,7 +25,8 @@
 // per detector copies it. CreateOverSorted binds a detector to one that
 // already exists (DriftMonitor passes the interned PreparedReference's
 // sorted sample, so a fleet of detectors shares one copy); Create
-// validates and sorts a private copy for standalone use.
+// validates a private copy and sorts it with SortDoubles (util/sort.h, an
+// in-place radix sort: a few linear passes) for standalone use.
 //
 // Steady-state pushes are allocation-free: emptied treap nodes go on an
 // internal free list that the next insertion reuses (so a detector ever
@@ -128,9 +129,9 @@ class StreamingKs {
   /// and alpha are cross-checked against the snapshot, kMaxScoreProduct is
   /// enforced, and every window value must be finite, so a corrupted
   /// snapshot fails with InvalidArgument instead of poisoning the score
-  /// arithmetic. The treap is built in one pass from a sorted copy of the
-  /// window — O(w log w + D log n) for D distinct window values, not a
-  /// Push per value. Allocates only for the observations the snapshot
+  /// arithmetic. The treap is built in one pass from a copy of the window
+  /// sorted by SortDoubles — at most O(w log w + D log n) for D distinct
+  /// window values, not a Push per value. Allocates only for the observations the snapshot
   /// holds (a ring that is not yet full grows as it fills), never for the
   /// declared capacity. The restored detector's CurrentOutcome, and every
   /// outcome after further pushes, is bit-identical to the serialized

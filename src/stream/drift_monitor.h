@@ -17,8 +17,9 @@
 // stream and O(log n + log w) per push. AddStream costs O(n + w) once the
 // reference is interned: the cache hashes the n values (one four-lane
 // pass) and compares them with the interned copy; only the
-// first sight of a reference pays the O(n log n) sort and the serial
-// FNV-1a wire hash. kSketched instead judges windows against one shared
+// first sight of a reference pays the sort (SortDoubles: an in-place radix
+// sort, a few linear passes over the n values) and the serial FNV-1a wire
+// hash. kSketched instead judges windows against one shared
 // KLL summary of the reference (sketch::SketchedReference,
 // O(sketch_k * log(n/sketch_k)) memory per *fleet*): each stream keeps
 // only its window ring, and every full-window push is triaged through

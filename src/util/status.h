@@ -13,8 +13,8 @@
 #define MOCHE_UTIL_STATUS_H_
 
 #include <string>
+#include <optional>
 #include <utility>
-#include <variant>
 
 namespace moche {
 
@@ -104,27 +104,25 @@ template <typename T>
 class Result {
  public:
   /// Implicit construction from a value (the success path).
-  Result(T value) : repr_(std::move(value)) {}  // NOLINT(runtime/explicit)
+  Result(T value) : value_(std::move(value)) {}  // NOLINT(runtime/explicit)
 
   /// Implicit construction from a non-OK status (the failure path).
-  Result(Status status) : repr_(std::move(status)) {  // NOLINT
-    if (std::get<Status>(repr_).ok()) {
+  Result(Status status) : status_(std::move(status)) {  // NOLINT
+    if (status_.ok()) {
       // An OK status carries no value; normalize to an internal error so the
       // bug is visible instead of silently dereferencing nothing.
-      repr_ = Status::Internal("Result constructed from OK status");
+      status_ = Status::Internal("Result constructed from OK status");
     }
   }
 
-  bool ok() const { return std::holds_alternative<T>(repr_); }
+  bool ok() const { return value_.has_value(); }
 
-  const Status& status() const {
-    static const Status kOk = Status::OK();
-    return ok() ? kOk : std::get<Status>(repr_);
-  }
+  const Status& status() const { return status_; }
 
-  const T& value() const& { return std::get<T>(repr_); }
-  T& value() & { return std::get<T>(repr_); }
-  T&& value() && { return std::get<T>(std::move(repr_)); }
+  /// The value; on an error Result this throws std::bad_optional_access.
+  const T& value() const& { return value_.value(); }
+  T& value() & { return value_.value(); }
+  T&& value() && { return std::move(value_).value(); }
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
@@ -137,7 +135,11 @@ class Result {
   }
 
  private:
-  std::variant<T, Status> repr_;
+  // OK exactly when value_ holds a value. Two plain members rather than a
+  // variant: GCC 12 at -O3 reports a spurious -Wmaybe-uninitialized on the
+  // variant's string storage.
+  Status status_;
+  std::optional<T> value_;
 };
 
 /// Propagates a non-OK Status to the caller.

@@ -3,7 +3,10 @@
 // reports are bit-identical to the one-shot Explain on the same inputs.
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,6 +40,38 @@ TEST(PreparedReferenceTest, PrepareValidatesInputs) {
   EXPECT_EQ(prepared->sorted_reference(),
             (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_DOUBLE_EQ(prepared->alpha(), 0.05);
+}
+
+TEST(PreparedReferenceTest, SignedZerosSortTheSameInEveryPermutation) {
+  // -0.0 == +0.0, so operator< leaves their order to the sort algorithm;
+  // the stored sample and its snapshot bytes must not depend on it.
+  std::vector<double> r;
+  for (int i = 0; i < 3000; ++i) {
+    r.push_back(i % 3 == 0 ? -0.0 : i % 3 == 1 ? 0.0 : 0.25 * (i % 7) - 0.9);
+  }
+  std::vector<double> shuffled = r;
+  Rng rng(5);
+  rng.Shuffle(&shuffled);
+  Moche engine;
+  auto a = engine.Prepare(r, 0.05);
+  auto b = engine.Prepare(shuffled, 0.05);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(a->sorted_reference().size(), b->sorted_reference().size());
+  EXPECT_EQ(0, std::memcmp(a->sorted_reference().data(),
+                           b->sorted_reference().data(),
+                           r.size() * sizeof(double)));
+  // The 1000 copies of -0.0 precede the 1000 copies of +0.0.
+  const auto& sorted = a->sorted_reference();
+  const auto zero = std::find(sorted.begin(), sorted.end(), 0.0);
+  ASSERT_NE(zero, sorted.end());
+  for (size_t i = 0; i < 2000; ++i) {
+    EXPECT_EQ(std::signbit(zero[static_cast<std::ptrdiff_t>(i)]), i < 1000);
+  }
+  std::string bytes_a;
+  std::string bytes_b;
+  a->SerializeTo(&bytes_a);
+  b->SerializeTo(&bytes_b);
+  EXPECT_EQ(bytes_a, bytes_b);
 }
 
 TEST(PreparedReferenceTest, MatchesExplainOnPaperExample) {

@@ -12,6 +12,7 @@
 #include "ks/ks_test.h"
 #include "testing_util.h"
 #include "util/rng.h"
+#include "util/sort.h"
 
 namespace moche {
 namespace {
@@ -23,7 +24,9 @@ bool SameBits(double a, double b) {
 // The union-grid RemovalKs the rank-frame version replaced: R u T merged
 // into one ascending grid of distinct values with per-value counts, swept
 // whole on every re-test. Kept as the bit-identity oracle, with its
-// arithmetic unchanged; removals report success as a bool. Its sweep is
+// arithmetic unchanged; removals report success as a bool. It sorts with
+// SortDoubles like the production path, because the sort decides which
+// copy of -0.0/+0.0 stands for a zero frame point. Its sweep is
 // its own inline first-strict-max loop, so a bug in the production sweep
 // cannot hide behind the oracle.
 class UnionGridRemovalKs {
@@ -33,8 +36,8 @@ class UnionGridRemovalKs {
       : alpha_(alpha), n_(r.size()), m_(t.size()) {
     std::vector<double> rs = r;
     std::vector<double> ts = t;
-    std::sort(rs.begin(), rs.end());
-    std::sort(ts.begin(), ts.end());
+    SortDoubles(rs.data(), rs.size());
+    SortDoubles(ts.data(), ts.size());
     size_t i = 0;
     size_t j = 0;
     while (i < rs.size() || j < ts.size()) {
@@ -351,7 +354,8 @@ TEST(RemovalKsTest, RandomSchedulesMatchTheUnionGridBitForBit) {
 
 TEST(RemovalKsTest, SignedZerosInBothSamplesMatchTheUnionGrid) {
   // -0.0 and +0.0 compare equal, so each sample's zeros form one frame
-  // point; which copy it carries decides the location's sign bit.
+  // point; which copy it carries decides the location's sign bit. The key
+  // order puts -0.0 first, so that copy is -0.0 whenever one occurs.
   struct Case {
     std::vector<double> r;
     std::vector<double> t;
